@@ -1,0 +1,29 @@
+"""Order statistics and ratios shared by the benchmark and its spread check."""
+
+from __future__ import annotations
+
+import statistics
+
+
+def median(values) -> float:
+    return float(statistics.median(values))
+
+
+def quartiles(values) -> tuple:
+    """(q1, median, q3) as `statistics.quantiles(values, n=4)` gives them."""
+    values = list(values)
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def spread(values) -> float:
+    """Inter-quartile distance as a share of the median."""
+    q1, q2, q3 = quartiles(values)
+    return (q3 - q1) / abs(q2) if q2 else float("inf")
+
+
+def ratio(numerator: float, denominator: float) -> float:
+    """numerator / denominator, or 0.0 when nothing was counted."""
+    return numerator / denominator if denominator else 0.0
