@@ -43,7 +43,7 @@ class AugmentConfig:
     enable_mixup: bool = True
     enable_noise: bool = True
     enable_speed: bool = True
-    noise_dir: str | None = None
+    noise_dir: str = ""
 
     def __post_init__(self):
         if not 0.0 <= self.mixup_prob <= 1.0:

@@ -58,11 +58,7 @@ class Tensor:
         self._op = _op
         self._id = next(_node_ids)
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def zeros(shape, requires_grad=False) -> "Tensor":
-        return Tensor(np.zeros(shape), requires_grad=requires_grad)
+    # -- accessors ------------------------------------------------------------
 
     @property
     def shape(self):
@@ -76,12 +72,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on non-scalar tensor of shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -488,22 +478,8 @@ def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
     The oracle gradient path: independent of the reverse-mode engine.
     """
-    if h <= 0:
-        raise ConfigError(f"finite difference step must be > 0, got {h}")
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
-    for i in range(x.size):
-        xp = x.copy().reshape(-1)
-        xp[i] += h
-        fp = float(f(xp.reshape(x.shape)))
-        xm = x.copy().reshape(-1)
-        xm[i] -= h
-        fm = float(f(xm.reshape(x.shape)))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"non-finite function value in finite differences at index {i}")
-        flat[i] = (fp - fm) / (2.0 * h)
-    return grad
+    return finite_difference_sample(f, x, range(x.size), h=h).reshape(x.shape)
 
 
 def finite_difference_sample(f, x: np.ndarray, indices, h: float = 1e-5) -> np.ndarray:

@@ -10,6 +10,7 @@ name-sorted order and read until EOF, so save/load round-trips bitwise.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -61,11 +62,13 @@ def load_checkpoint(path: str) -> tuple:
         blob = handle.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"bad checkpoint magic in {path}: {blob[:4]!r}")
+    offset = 8 + struct.calcsize("<IQd")
+    if len(blob) < offset + 32:
+        raise DataError(f"truncated checkpoint header in {path}")
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version} in {path}")
     epoch, global_step, dev_cat_loss = struct.unpack_from("<IQd", blob, 8)
-    offset = 8 + struct.calcsize("<IQd")
     config_hash = blob[offset:offset + 32]
     offset += 32
     meta = CheckpointMeta(epoch=epoch, global_step=global_step,
@@ -73,15 +76,18 @@ def load_checkpoint(path: str) -> tuple:
     tensors = {}
     total = len(blob)
     while offset < total:
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, offset)
+        try:
+            (name_len,) = struct.unpack_from("<I", blob, offset)
+            offset += 4
+            name = blob[offset:offset + name_len].decode("utf-8")
+            offset += name_len
+            (rank,) = struct.unpack_from("<I", blob, offset)
+            offset += 4
+            dims = struct.unpack_from(f"<{rank}Q", blob, offset)
+        except (struct.error, UnicodeDecodeError):
+            raise DataError(f"truncated tensor entry in {path}") from None
         offset += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
+        count = math.prod(dims)
         end = offset + 8 * count
         if end > total:
             raise DataError(f"truncated tensor '{name}' in {path}")

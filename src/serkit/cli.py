@@ -19,17 +19,13 @@ from .checkpoint import load_into_model
 from .config import RunConfig
 from .datapipe import (
     ConsensusConfig,
-    ManifestRecord,
-    consensus_label,
+    pseudo_label_files,
     read_manifest,
     synth_dataset,
-    utterance_pseudo_label,
-    window_split,
     write_manifest,
 )
 from .errors import ConfigError, DataError, NumericError, SerkitError
 from .evaluation import evaluate_manifest
-from .labels import EmotionLabel
 from .losses import DimTargets
 from .model import SERModel
 from .reporting import read_report_csv, svg_bar_chart, write_report_csv, write_svg
@@ -124,119 +120,11 @@ def cmd_eval(args) -> int:
 # -- pseudolabel -------------------------------------------------------------------
 
 
-def _read_window_predictions(path: str) -> dict:
-    """Per-predictor JSONL: utterance_id, window_start_s, window_end_s, label."""
-    if not os.path.exists(path):
-        raise DataError(f"prediction file not found: {path}")
-    by_utterance: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                utt = payload["utterance_id"]
-                window = (float(payload["window_start_s"]), float(payload["window_end_s"]))
-                label = payload["label"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"{path}:{line_no}: bad window prediction ({exc})") from None
-            by_utterance.setdefault(utt, {})[window] = label
-    if not by_utterance:
-        raise DataError(f"prediction file is empty: {path}")
-    return by_utterance
-
-
-def _read_durations(path: str) -> list:
-    """JSONL of id + duration_s (or frames + frame_rate_hz), with passthrough fields."""
-    if not os.path.exists(path):
-        raise DataError(f"durations file not found: {path}")
-    rows = []
-    seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                utt = payload["id"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"{path}:{line_no}: bad durations line ({exc})") from None
-            if utt in seen:
-                raise DataError(f"{path}:{line_no}: duplicate id {utt!r}")
-            seen.add(utt)
-            if "duration_s" in payload:
-                duration = float(payload["duration_s"])
-                frame_rate = float(payload.get("frame_rate_hz", 100.0))
-                frames = int(payload.get("frames", round(duration * frame_rate)))
-            elif "frames" in payload and "frame_rate_hz" in payload:
-                frames = int(payload["frames"])
-                frame_rate = float(payload["frame_rate_hz"])
-                duration = frames / frame_rate
-            else:
-                raise DataError(f"{path}:{line_no}: need duration_s or frames+frame_rate_hz")
-            rows.append({
-                "id": utt, "duration_s": duration, "frames": frames,
-                "frame_rate_hz": frame_rate,
-                "features_path": payload.get("features_path", ""),
-                "split": payload.get("split", "train"),
-                "language": payload.get("language"),
-            })
-    if not rows:
-        raise DataError(f"durations file is empty: {path}")
-    return rows
-
-
 def cmd_pseudolabel(args) -> int:
     cfg = ConsensusConfig(window_s=args.window_s, hop_s=args.hop_s,
                           min_emotional_fraction=args.min_frac)
-    preds_a = _read_window_predictions(args.pred_a)
-    preds_b = _read_window_predictions(args.pred_b)
-    durations = _read_durations(args.durations)
-    wanted = {row["id"] for row in durations}
-    missing = sorted((wanted - set(preds_a)) | (wanted - set(preds_b))
-                     | (set(preds_a) ^ set(preds_b)))
-    if missing:
-        raise DataError(f"prediction files do not cover the same ids; missing: {missing[:10]}")
-
-    records = []
-    class_counts = {label.canonical_name: 0 for label in EmotionLabel}
-    n_windows = 0
-    n_neutral_windows = 0
-    for row in durations:
-        utt = row["id"]
-        windows = window_split(row["duration_s"], cfg)
-        labels = []
-        for start, end in windows:
-            key = (start, end)
-            if key not in preds_a[utt] or key not in preds_b[utt]:
-                raise DataError(
-                    f"utterance {utt}: window ({start}, {end}) missing from predictions"
-                )
-            label = consensus_label(preds_a[utt][key], preds_b[utt][key], cfg)
-            labels.append(label)
-            n_windows += 1
-            if label == EmotionLabel.NEUTRAL:
-                n_neutral_windows += 1
-        pseudo = utterance_pseudo_label(labels, cfg)
-        class_counts[pseudo.label.canonical_name] += 1
-        records.append(ManifestRecord(
-            id=utt,
-            features_path=row["features_path"],
-            frames=row["frames"],
-            frame_rate_hz=row["frame_rate_hz"],
-            label=pseudo.label.canonical_name,
-            split=row["split"],
-            language=row["language"],
-        ))
+    records, stats = pseudo_label_files(args.pred_a, args.pred_b, args.durations, cfg)
     write_manifest(args.out, records)
-    stats = {
-        "n_utterances": len(records),
-        "n_windows": n_windows,
-        "neutral_fallback_fraction": n_neutral_windows / n_windows if n_windows else 0.0,
-        "per_class_counts": class_counts,
-    }
     with open(args.out + ".stats.json", "w", encoding="utf-8") as handle:
         json.dump(stats, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -367,9 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pseudo.add_argument("--pred-b", required=True)
     p_pseudo.add_argument("--durations", required=True)
     p_pseudo.add_argument("--out", required=True)
-    p_pseudo.add_argument("--min-frac", type=float, default=0.25)
-    p_pseudo.add_argument("--window-s", type=float, default=4.0)
-    p_pseudo.add_argument("--hop-s", type=float, default=2.0)
+    p_pseudo.add_argument("--min-frac", type=float,
+                          default=ConsensusConfig.min_emotional_fraction)
+    p_pseudo.add_argument("--window-s", type=float, default=ConsensusConfig.window_s)
+    p_pseudo.add_argument("--hop-s", type=float, default=ConsensusConfig.hop_s)
     p_pseudo.set_defaults(func=cmd_pseudolabel)
 
     p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")

@@ -1,11 +1,13 @@
 """Flat dotted-key run configuration.
 
-Every training-recipe constant lives here as a default (loss coefficients,
-label smoothing, warmup ratio, MixUp settings, speed factors, batch size,
-epoch cap, per-group learning rates and decays). Config files are
-`key = value` lines with `#` comments; CLI --set overrides win over the
-file. Unknown keys are rejected, and the effective config echoes into the
-run directory so a run can be reproduced from its own artifacts.
+Every training-recipe constant (loss coefficients, label smoothing, warmup
+ratio, MixUp settings, speed factors, batch size, epoch cap, per-group
+learning rates and decays) is the default of the dataclass field it sets.
+`KEYS` maps each config key to that field, and `DEFAULTS` is read from the
+fields. Config files are `key = value` lines with `#` comments; CLI --set
+overrides win over the file. Unknown keys are rejected, and the effective
+config echoes into the run directory so a run can be reproduced from its
+own artifacts.
 """
 
 from __future__ import annotations
@@ -14,62 +16,72 @@ import hashlib
 import os
 
 from .augment import AugmentConfig
+from .datapipe import MERGE_CAP_S
 from .errors import ConfigError
 from .losses import LossConfig
 from .model import EcapaConfig, EncoderStubConfig, LoraConfig, ModelConfig, PoolingConfig
 from .optim import OptimizerConfig
 from .training import TrainConfig
 
-DEFAULTS = {
-    "model.feature_dim": 16,
-    "model.encoder_layers": 2,
-    "model.encoder_dim": 32,
-    "model.encoder_heads": 4,
-    "model.encoder_ff": 64,
-    "model.lora_rank": 4,
-    "model.lora_alpha": 8.0,
-    "model.pool_scales": "1,4,16",
-    "model.pool_attention_hidden": 32,
-    "model.ecapa_channels": 64,
-    "model.ecapa_dilations": "2,3,4",
-    "model.ecapa_res2_scale": 4,
-    "model.ecapa_gn_groups": 8,
-    "model.ecapa_se_bottleneck": 16,
-    "model.ecapa_kernel": 3,
-    "model.ecapa_stats_attention_hidden": 32,
-    "loss.lambda_cat": 1.0,
-    "loss.lambda_dim": 0.5,
-    "loss.epsilon_smooth": 0.1,
-    "loss.eps_ccc": 1e-8,
-    "optim.backbone_lr": 5e-5,
-    "optim.backbone_weight_decay": 4e-5,
-    "optim.downstream_lr": 6e-4,
-    "optim.downstream_weight_decay": 8e-5,
-    "optim.beta1": 0.9,
-    "optim.beta2": 0.999,
-    "optim.eps": 1e-8,
-    "schedule.warmup_ratio": 0.08,
-    "schedule.min_lr_factor": 0.0,
-    "train.epochs": 15,
-    "train.batch_size": 32,
-    "train.patience": 3,
-    "train.max_frames": 0,
-    "augment.enabled": True,
-    "augment.mixup_prob": 0.5,
-    "augment.mixup_alpha": 0.3,
-    "augment.noise_snr_db_min": 5.0,
-    "augment.noise_snr_db_max": 20.0,
-    "augment.speed_factors": "0.9,1.1",
-    "augment.enable_mixup": True,
-    "augment.enable_noise": True,
-    "augment.enable_speed": True,
-    "augment.noise_dir": "",
-    "eval.top_k": 4,
-    "eval.merge_cap_s": 15.0,
-    "pseudo.window_s": 4.0,
-    "pseudo.hop_s": 2.0,
-    "pseudo.min_emotional_fraction": 0.25,
+# Config key -> (dataclass, field name); the key's default is the field's.
+KEYS = {
+    "model.feature_dim": (ModelConfig, "feature_dim"),
+    "model.encoder_layers": (EncoderStubConfig, "num_layers"),
+    "model.encoder_dim": (EncoderStubConfig, "model_dim"),
+    "model.encoder_heads": (EncoderStubConfig, "num_heads"),
+    "model.encoder_ff": (EncoderStubConfig, "ff_dim"),
+    "model.lora_rank": (LoraConfig, "rank"),
+    "model.lora_alpha": (LoraConfig, "alpha"),
+    "model.pool_scales": (PoolingConfig, "scales"),
+    "model.pool_attention_hidden": (PoolingConfig, "attention_hidden"),
+    "model.ecapa_channels": (EcapaConfig, "channels"),
+    "model.ecapa_dilations": (EcapaConfig, "dilations"),
+    "model.ecapa_res2_scale": (EcapaConfig, "res2_scale"),
+    "model.ecapa_gn_groups": (EcapaConfig, "gn_groups"),
+    "model.ecapa_se_bottleneck": (EcapaConfig, "se_bottleneck"),
+    "model.ecapa_kernel": (EcapaConfig, "kernel_size"),
+    "model.ecapa_stats_attention_hidden": (EcapaConfig, "stats_attention_hidden"),
+    "loss.lambda_cat": (LossConfig, "lambda_cat"),
+    "loss.lambda_dim": (LossConfig, "lambda_dim"),
+    "loss.epsilon_smooth": (LossConfig, "epsilon_smooth"),
+    "loss.eps_ccc": (LossConfig, "eps_ccc"),
+    "optim.backbone_lr": (OptimizerConfig, "backbone_lr"),
+    "optim.backbone_weight_decay": (OptimizerConfig, "backbone_weight_decay"),
+    "optim.downstream_lr": (OptimizerConfig, "downstream_lr"),
+    "optim.downstream_weight_decay": (OptimizerConfig, "downstream_weight_decay"),
+    "optim.beta1": (OptimizerConfig, "beta1"),
+    "optim.beta2": (OptimizerConfig, "beta2"),
+    "optim.eps": (OptimizerConfig, "eps"),
+    "schedule.warmup_ratio": (TrainConfig, "warmup_ratio"),
+    "schedule.min_lr_factor": (TrainConfig, "min_lr_factor"),
+    "train.epochs": (TrainConfig, "epochs"),
+    "train.batch_size": (TrainConfig, "batch_size"),
+    "train.patience": (TrainConfig, "patience"),
+    "train.max_frames": (TrainConfig, "max_frames"),
+    "augment.mixup_prob": (AugmentConfig, "mixup_prob"),
+    "augment.mixup_alpha": (AugmentConfig, "mixup_alpha"),
+    "augment.speed_factors": (AugmentConfig, "speed_factors"),
+    "augment.enable_mixup": (AugmentConfig, "enable_mixup"),
+    "augment.enable_noise": (AugmentConfig, "enable_noise"),
+    "augment.enable_speed": (AugmentConfig, "enable_speed"),
+    "augment.noise_dir": (AugmentConfig, "noise_dir"),
 }
+
+
+def _default_text(value):
+    """Tuple defaults are config text: comma-separated elements."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
+# A dataclass field with a plain default keeps that default as a class attribute.
+DEFAULTS = {key: _default_text(getattr(cls, name)) for key, (cls, name) in KEYS.items()}
+DEFAULTS.update({
+    "augment.enabled": True,
+    "augment.noise_snr_db_min": AugmentConfig.noise_snr_db[0],
+    "augment.noise_snr_db_max": AugmentConfig.noise_snr_db[1],
+    "eval.top_k": 4,
+    "eval.merge_cap_s": MERGE_CAP_S,
+})
 
 
 def _coerce(key: str, raw: str):
@@ -157,86 +169,43 @@ class RunConfig:
 
     # -- dataclass builders --
 
-    def _int_tuple(self, key: str) -> tuple:
-        raw = str(self.values[key])
-        try:
-            return tuple(int(part) for part in raw.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"key {key}: expected comma-separated integers, got {raw!r}") from None
+    def _build(self, cls, **extra):
+        """`cls` with every field that KEYS maps a key onto taken from this config.
 
-    def _float_tuple(self, key: str) -> tuple:
-        raw = str(self.values[key])
-        try:
-            return tuple(float(part) for part in raw.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"key {key}: expected comma-separated floats, got {raw!r}") from None
+        A tuple field's text is split on commas and each part parsed with the
+        type of the default's elements.
+        """
+        for key, (owner, name) in KEYS.items():
+            if owner is not cls:
+                continue
+            value = self.values[key]
+            default = getattr(cls, name)
+            if isinstance(default, tuple):
+                kind = type(default[0])
+                try:
+                    value = tuple(kind(part) for part in str(value).split(",") if part.strip())
+                except ValueError:
+                    raise ConfigError(f"key {key}: expected comma-separated "
+                                      f"{kind.__name__} values, got {value!r}") from None
+            extra[name] = value
+        return cls(**extra)
 
     def model_config(self, seed: int) -> ModelConfig:
-        return ModelConfig(
-            feature_dim=self["model.feature_dim"],
-            seed=seed,
-            encoder=EncoderStubConfig(
-                num_layers=self["model.encoder_layers"],
-                model_dim=self["model.encoder_dim"],
-                num_heads=self["model.encoder_heads"],
-                ff_dim=self["model.encoder_ff"],
-            ),
-            lora=LoraConfig(rank=self["model.lora_rank"], alpha=self["model.lora_alpha"]),
-            pooling=PoolingConfig(
-                scales=self._int_tuple("model.pool_scales"),
-                attention_hidden=self["model.pool_attention_hidden"],
-            ),
-            ecapa=EcapaConfig(
-                channels=self["model.ecapa_channels"],
-                dilations=self._int_tuple("model.ecapa_dilations"),
-                res2_scale=self["model.ecapa_res2_scale"],
-                gn_groups=self["model.ecapa_gn_groups"],
-                se_bottleneck=self["model.ecapa_se_bottleneck"],
-                kernel_size=self["model.ecapa_kernel"],
-                stats_attention_hidden=self["model.ecapa_stats_attention_hidden"],
-            ),
-        )
+        return self._build(ModelConfig, seed=seed, encoder=self._build(EncoderStubConfig),
+                           lora=self._build(LoraConfig), pooling=self._build(PoolingConfig),
+                           ecapa=self._build(EcapaConfig))
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            lambda_cat=self["loss.lambda_cat"],
-            lambda_dim=self["loss.lambda_dim"],
-            epsilon_smooth=self["loss.epsilon_smooth"],
-            eps_ccc=self["loss.eps_ccc"],
-        )
+        return self._build(LossConfig)
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            backbone_lr=self["optim.backbone_lr"],
-            backbone_weight_decay=self["optim.backbone_weight_decay"],
-            downstream_lr=self["optim.downstream_lr"],
-            downstream_weight_decay=self["optim.downstream_weight_decay"],
-            beta1=self["optim.beta1"],
-            beta2=self["optim.beta2"],
-            eps=self["optim.eps"],
-        )
+        return self._build(OptimizerConfig)
 
     def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            epochs=self["train.epochs"],
-            batch_size=self["train.batch_size"],
-            patience=self["train.patience"],
-            seed=seed,
-            max_frames=self["train.max_frames"],
-            warmup_ratio=self["schedule.warmup_ratio"],
-            min_lr_factor=self["schedule.min_lr_factor"],
-        )
+        return self._build(TrainConfig, seed=seed)
 
     def augment_config(self) -> AugmentConfig | None:
         if not self["augment.enabled"]:
             return None
-        return AugmentConfig(
-            mixup_prob=self["augment.mixup_prob"],
-            mixup_alpha=self["augment.mixup_alpha"],
-            noise_snr_db=(self["augment.noise_snr_db_min"], self["augment.noise_snr_db_max"]),
-            speed_factors=self._float_tuple("augment.speed_factors"),
-            enable_mixup=self["augment.enable_mixup"],
-            enable_noise=self["augment.enable_noise"],
-            enable_speed=self["augment.enable_speed"],
-            noise_dir=self["augment.noise_dir"] or None,
-        )
+        return self._build(AugmentConfig, noise_snr_db=(self["augment.noise_snr_db_min"],
+                                                        self["augment.noise_snr_db_max"]))

@@ -34,6 +34,9 @@ FEATURE_VERSION = 1
 
 VALID_SPLITS = ("train", "dev", "eval")
 
+# Longest merged evaluation segment, in seconds.
+MERGE_CAP_S = 15.0
+
 
 # -- manifest records --------------------------------------------------------
 
@@ -105,6 +108,8 @@ class ManifestRecord:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed manifest line: {exc}") from None
+        if not isinstance(payload, dict):
+            raise DataError(f"manifest line is not a JSON object: {line[:40]!r}")
         try:
             return ManifestRecord(
                 id=payload["id"],
@@ -122,6 +127,8 @@ class ManifestRecord:
             )
         except KeyError as exc:
             raise DataError(f"manifest line missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"bad value in manifest line ({exc})") from None
 
 
 def read_manifest(path: str) -> list:
@@ -131,11 +138,14 @@ def read_manifest(path: str) -> list:
     records = []
     seen = set()
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = ManifestRecord.from_json(line, base_dir=base_dir)
+            try:
+                record = ManifestRecord.from_json(line, base_dir=base_dir)
+            except DataError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from None
             if record.id in seen:
                 raise DataError(f"duplicate utterance id {record.id!r} in {path}")
             seen.add(record.id)
@@ -174,7 +184,10 @@ def read_features(path: str) -> np.ndarray:
         magic = handle.read(4)
         if magic != FEATURE_MAGIC:
             raise DataError(f"bad feature file magic in {path}: {magic!r}")
-        version, frames, dim = struct.unpack("<III", handle.read(12))
+        header = handle.read(12)
+        if len(header) != 12:
+            raise DataError(f"truncated feature file header in {path}")
+        version, frames, dim = struct.unpack("<III", header)
         if version != FEATURE_VERSION:
             raise DataError(f"unsupported feature file version {version} in {path}")
         payload = handle.read(frames * dim * 4)
@@ -215,7 +228,6 @@ class ConsensusConfig:
     window_s: float = 4.0
     hop_s: float = 2.0
     min_emotional_fraction: float = 0.25
-    merge_cap_s: float = 15.0
     emotional_set: frozenset = field(
         default_factory=lambda: frozenset(label.name.lower() for label in EMOTIONAL_SET)
     )
@@ -304,10 +316,129 @@ def utterance_pseudo_label(window_labels: list, cfg: ConsensusConfig) -> PseudoL
     return PseudoLabel(EmotionLabel.NEUTRAL, True, fraction)
 
 
+def _read_window_predictions(path: str) -> dict:
+    """Per-predictor JSONL: utterance_id, window_start_s, window_end_s, label."""
+    if not os.path.exists(path):
+        raise DataError(f"prediction file not found: {path}")
+    by_utterance: dict = {}
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+                utt = payload["utterance_id"]
+                window = (float(payload["window_start_s"]), float(payload["window_end_s"]))
+                label = payload["label"]
+                by_utterance.setdefault(utt, {})[window] = label
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{line_no}: bad window prediction ({exc})") from None
+    if not by_utterance:
+        raise DataError(f"prediction file is empty: {path}")
+    return by_utterance
+
+
+def _read_durations(path: str) -> list:
+    """JSONL of id + duration_s (or frames + frame_rate_hz), with passthrough fields."""
+    if not os.path.exists(path):
+        raise DataError(f"durations file not found: {path}")
+    rows = []
+    seen = set()
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                payload = json.loads(line)
+                utt = payload["id"]
+                if "duration_s" in payload:
+                    duration = float(payload["duration_s"])
+                    frame_rate = float(payload.get("frame_rate_hz", 100.0))
+                    frames = int(payload.get("frames", round(duration * frame_rate)))
+                elif "frames" in payload and "frame_rate_hz" in payload:
+                    frames = int(payload["frames"])
+                    frame_rate = float(payload["frame_rate_hz"])
+                    duration = frames / frame_rate
+                else:
+                    raise DataError(f"{path}:{line_no}: need duration_s or frames+frame_rate_hz")
+                if utt in seen:
+                    raise DataError(f"{path}:{line_no}: duplicate id {utt!r}")
+            except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+                raise DataError(f"{path}:{line_no}: bad durations line ({exc})") from None
+            seen.add(utt)
+            rows.append({
+                "id": utt, "duration_s": duration, "frames": frames,
+                "frame_rate_hz": frame_rate,
+                "features_path": payload.get("features_path", ""),
+                "split": payload.get("split", "train"),
+                "language": payload.get("language"),
+            })
+    if not rows:
+        raise DataError(f"durations file is empty: {path}")
+    return rows
+
+
+def pseudo_label_files(pred_a_path: str, pred_b_path: str, durations_path: str,
+                       cfg: ConsensusConfig) -> tuple:
+    """Consensus-label every utterance of a durations file from two predictors' windows.
+
+    Returns (manifest records, stats): the stats give the utterance and
+    window counts, the fraction of windows that fell back to neutral, and
+    the per-class utterance counts.
+    """
+    preds_a = _read_window_predictions(pred_a_path)
+    preds_b = _read_window_predictions(pred_b_path)
+    durations = _read_durations(durations_path)
+    wanted = {row["id"] for row in durations}
+    missing = sorted((wanted - set(preds_a)) | (wanted - set(preds_b))
+                     | (set(preds_a) ^ set(preds_b)))
+    if missing:
+        raise DataError(f"prediction files do not cover the same ids; missing: {missing[:10]}")
+
+    records = []
+    class_counts = {label.canonical_name: 0 for label in EmotionLabel}
+    n_windows = 0
+    n_neutral_windows = 0
+    for row in durations:
+        utt = row["id"]
+        labels = []
+        for start, end in window_split(row["duration_s"], cfg):
+            key = (start, end)
+            if key not in preds_a[utt] or key not in preds_b[utt]:
+                raise DataError(
+                    f"utterance {utt}: window ({start}, {end}) missing from predictions"
+                )
+            label = consensus_label(preds_a[utt][key], preds_b[utt][key], cfg)
+            labels.append(label)
+            n_windows += 1
+            if label == EmotionLabel.NEUTRAL:
+                n_neutral_windows += 1
+        pseudo = utterance_pseudo_label(labels, cfg)
+        class_counts[pseudo.label.canonical_name] += 1
+        records.append(ManifestRecord(
+            id=utt,
+            features_path=row["features_path"],
+            frames=row["frames"],
+            frame_rate_hz=row["frame_rate_hz"],
+            label=pseudo.label.canonical_name,
+            split=row["split"],
+            language=row["language"],
+        ))
+    stats = {
+        "n_utterances": len(records),
+        "n_windows": n_windows,
+        "neutral_fallback_fraction": n_neutral_windows / n_windows if n_windows else 0.0,
+        "per_class_counts": class_counts,
+    }
+    return records, stats
+
+
 # -- segment merging -----------------------------------------------------------
 
 
-def merge_segments(segments: list, cap_s: float = 15.0) -> list:
+def merge_segments(segments: list, cap_s: float = MERGE_CAP_S) -> list:
     """Merge consecutive equal-label (start, end, label) segments, capped at cap_s.
 
     Runs longer than the cap split exactly at cap boundaries, so total

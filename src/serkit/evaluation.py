@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor
-from .datapipe import FeatureStore, merge_segments
+from .datapipe import MERGE_CAP_S, FeatureStore, merge_segments
 from .errors import DataError
 from .labels import NUM_CLASSES, EmotionLabel
 from .model import DimScores, ModelOutput
@@ -50,9 +50,6 @@ class ConfusionMatrix:
     @property
     def n_scored(self) -> int:
         return int(self.counts.sum())
-
-    def snapshot(self) -> np.ndarray:
-        return self.counts.copy()
 
 
 def per_class_recall(cm: ConfusionMatrix) -> np.ndarray:
@@ -193,7 +190,8 @@ def _subset_uar_or_nan(cm: ConfusionMatrix, subset) -> float:
 
 
 def evaluate_manifest(models: list, records: list, granularity: str = "fine",
-                      merge_cap_s: float = 15.0, store: Optional[FeatureStore] = None) -> EvalReport:
+                      merge_cap_s: float = MERGE_CAP_S,
+                      store: Optional[FeatureStore] = None) -> EvalReport:
     """Score a manifest with an ensemble at fine or merged granularity.
 
     Merged granularity treats the manifest order as a contiguous timeline,

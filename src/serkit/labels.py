@@ -29,7 +29,7 @@ class EmotionLabel(IntEnum):
     def from_name(name: str) -> "EmotionLabel":
         try:
             return EmotionLabel[name.strip().upper()]
-        except KeyError:
+        except (KeyError, AttributeError):
             raise DataError(f"unknown emotion label {name!r}") from None
 
 

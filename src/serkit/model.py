@@ -37,7 +37,6 @@ class EncoderStubConfig:
     model_dim: int = 32
     num_heads: int = 4
     ff_dim: int = 64
-    frozen: bool = True
 
     def __post_init__(self):
         if self.model_dim % self.num_heads != 0:

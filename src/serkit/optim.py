@@ -121,11 +121,6 @@ class AdamWGroups:
                     tensor.data *= 1.0 - lr * wd
                 tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.cfg.eps)
 
-    def zero_grad(self):
-        for group in self.groups:
-            for tensor in group["params"].values():
-                tensor.grad = None
-
     def learning_rates(self, lr_scale_backbone: float = 1.0, lr_scale_downstream: float = 1.0):
         return (self.groups[0]["lr"] * lr_scale_backbone,
                 self.groups[1]["lr"] * lr_scale_downstream)

@@ -47,8 +47,8 @@ class TrainConfig:
     patience: int = 3
     seed: int = 0
     max_frames: int = 0          # >0 crops features to this many frames
-    warmup_ratio: float = 0.08
-    min_lr_factor: float = 0.0
+    warmup_ratio: float = ScheduleConfig.warmup_ratio
+    min_lr_factor: float = ScheduleConfig.min_lr_factor
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:

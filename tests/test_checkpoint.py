@@ -64,9 +64,10 @@ class TestErrors:
         path = str(tmp_path / "t.serc")
         save_checkpoint(path, tensors, meta)
         blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-4])
-        with pytest.raises(DataError, match="truncated"):
-            load_checkpoint(path)
+        for truncated in (blob[:-4], blob[:6]):  # last tensor cut short; header cut short
+            open(path, "wb").write(truncated)
+            with pytest.raises(DataError, match="truncated"):
+                load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

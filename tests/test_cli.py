@@ -273,6 +273,14 @@ class TestPseudolabelCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "u1" in err or "u2" in err
+        # a duration that is not a number
+        (tmp_path / "d.jsonl").write_text('{"id": "u", "duration_s": "abc"}\n')
+        rc = main(["pseudolabel", "--pred-a", str(tmp_path / "a.jsonl"),
+                   "--pred-b", str(tmp_path / "b.jsonl"),
+                   "--durations", str(tmp_path / "d.jsonl"),
+                   "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: data: ")
 
 
 class TestGradcheckCommand:

@@ -1,9 +1,55 @@
 """RunConfig tests: defaults carry the recipe constants, parsing, echo, hash."""
 
+import dataclasses
+
 import pytest
 
-from serkit.config import DEFAULTS, RunConfig
+from serkit.augment import AugmentConfig
+from serkit.config import DEFAULTS, KEYS, RunConfig
+from serkit.datapipe import MERGE_CAP_S
 from serkit.errors import ConfigError
+from serkit.losses import LossConfig
+from serkit.model import EcapaConfig, EncoderStubConfig, LoraConfig, ModelConfig, PoolingConfig
+from serkit.optim import OptimizerConfig
+from serkit.training import TrainConfig
+
+
+def as_config_text(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else value
+
+
+def field_default(cls, name):
+    return {f.name: f.default for f in dataclasses.fields(cls)}[name]
+
+
+# Doubling or halving these defaults would be rejected or leave them unchanged.
+NON_DEFAULT_SPECIAL = {"model.ecapa_kernel": "5", "train.max_frames": "8",
+                       "schedule.min_lr_factor": "0.1"}
+
+
+def non_default_text(key):
+    """A valid config value for `key` that differs from its default."""
+    if key in NON_DEFAULT_SPECIAL:
+        return NON_DEFAULT_SPECIAL[key]
+    default = DEFAULTS[key]
+    if isinstance(default, bool):
+        return "false" if default else "true"
+    if isinstance(default, int):
+        return str(2 * default)
+    if isinstance(default, float):
+        return repr(default / 2)
+    if isinstance(field_default(*KEYS[key]), tuple):
+        return default.rsplit(",", 1)[0]  # drop the last element
+    return default + "x"
+
+
+def built_instances(cfg):
+    """Every dataclass instance the public builders produce, by class."""
+    model = cfg.model_config(seed=0)
+    return {ModelConfig: model, EncoderStubConfig: model.encoder, LoraConfig: model.lora,
+            PoolingConfig: model.pooling, EcapaConfig: model.ecapa,
+            LossConfig: cfg.loss_config(), OptimizerConfig: cfg.optimizer_config(),
+            TrainConfig: cfg.train_config(seed=0), AugmentConfig: cfg.augment_config()}
 
 
 class TestDefaults:
@@ -33,6 +79,25 @@ class TestDefaults:
         assert cfg.optimizer_config().downstream_lr == 6e-4
         assert cfg.train_config(seed=1).epochs == 15
         assert cfg.augment_config().mixup_prob == 0.5
+
+
+class TestKeyTable:
+    def test_defaults_come_from_fields(self):
+        assert len(set(KEYS.values())) == len(KEYS)  # no two keys share a field
+        for key, (cls, name) in KEYS.items():
+            assert DEFAULTS[key] == as_config_text(field_default(cls, name)), key
+        assert (DEFAULTS["augment.noise_snr_db_min"],
+                DEFAULTS["augment.noise_snr_db_max"]) == AugmentConfig().noise_snr_db
+        assert DEFAULTS["eval.merge_cap_s"] == MERGE_CAP_S
+        assert set(DEFAULTS) - set(KEYS) == {
+            "augment.enabled", "augment.noise_snr_db_min", "augment.noise_snr_db_max",
+            "eval.top_k", "eval.merge_cap_s"}
+
+    def test_every_key_reaches_its_field(self):
+        for key, (cls, name) in KEYS.items():
+            cfg = RunConfig.load(None, overrides=[f"{key}={non_default_text(key)}"])
+            value = getattr(built_instances(cfg)[cls], name)
+            assert as_config_text(value) == cfg[key] != DEFAULTS[key], key
 
 
 class TestParsing:

@@ -1,6 +1,7 @@
 """Datapipe tests: windows, consensus, merging, votes, synth data, manifests."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -214,9 +215,10 @@ class TestFeatureFiles:
         path = str(tmp_path / "t.serf")
         write_features(path, rng.normal(size=(4, 4)))
         blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
-        with pytest.raises(DataError, match="truncated"):
-            read_features(path)
+        for truncated in (blob[:-8], blob[:6]):  # payload cut short; header cut short
+            open(path, "wb").write(truncated)
+            with pytest.raises(DataError, match="truncated"):
+                read_features(path)
 
     def test_frame_count_cross_checked(self, tmp_path):
         write_features(str(tmp_path / "y.serf"), np.zeros((6, 2)))
@@ -259,6 +261,15 @@ class TestManifests:
         with pytest.raises(DataError):
             ManifestRecord(id="x", features_path="x.serf", frames=4,
                            frame_rate_hz=8.0, label="Happy", arousal=1.2)
+
+    def test_malformed_lines_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        bad_frames = {"id": "x", "features_path": "x.serf", "frames": "x",
+                      "frame_rate_hz": 8.0, "label": "Happy"}
+        for line in (json.dumps(bad_frames), "[1, 2]"):
+            path.write_text(line + "\n")
+            with pytest.raises(DataError, match="bad.jsonl:1"):
+                read_manifest(str(path))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
