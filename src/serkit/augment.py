@@ -157,18 +157,25 @@ def mixup_apply(features: np.ndarray, cat_targets: np.ndarray, dim_targets: DimT
     return mixed_features, mixed_cats, DimTargets(values=mixed_values, present_mask=mixed_mask)
 
 
-def mixup_batch(features: np.ndarray, cat_targets: np.ndarray, dim_targets: DimTargets,
-                cfg: AugmentConfig, rng) -> tuple:
-    """With probability mixup_prob, mix the batch with a Beta(alpha, alpha) coefficient."""
+def mixup_batch(features: np.ndarray, lengths: np.ndarray, cat_targets: np.ndarray,
+                dim_targets: DimTargets, cfg: AugmentConfig, rng) -> tuple:
+    """With probability mixup_prob, mix the batch with a Beta(alpha, alpha) coefficient.
+
+    Returns (features, lengths, cat_targets, dim_targets); a mixed row is
+    valid up to the longer of its two source rows.
+    """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 3:
-        raise ConfigError(f"mixup expects stacked [B, T, D] features, got {features.shape}")
+    lengths = np.asarray(lengths)
+    if features.ndim != 3 or lengths.shape != features.shape[:1]:
+        raise ConfigError(f"mixup expects stacked [B, T, D] features and [B] lengths, "
+                          f"got {features.shape} and {lengths.shape}")
     if rng.random() >= cfg.mixup_prob:
-        return features, cat_targets, dim_targets
+        return features, lengths, cat_targets, dim_targets
     if features.shape[0] < 2:
         log.warning("mixup triggered on a batch of 1: skipped")
-        return features, cat_targets, dim_targets
+        return features, lengths, cat_targets, dim_targets
     lam = float(rng.beta(cfg.mixup_alpha, cfg.mixup_alpha))
     perm = rng.permutation(features.shape[0])
     AUGMENT_COUNTS["mixup"] += 1
-    return mixup_apply(features, cat_targets, dim_targets, lam, perm)
+    mixed, cats, dims = mixup_apply(features, cat_targets, dim_targets, lam, perm)
+    return mixed, np.maximum(lengths, lengths[perm]), cats, dims

@@ -9,6 +9,10 @@ tensor that has ``requires_grad`` set.
 All buffers are float64 and row-major. Every op validates that its output
 is finite; a NaN/Inf raises :class:`NumericError` naming the node, so a
 diverging forward pass fails loudly instead of poisoning gradients.
+
+Batches are padded to a common length: ops over time take an optional
+leading batch axis and an optional length mask ([B, T], true on valid
+frames), so padded frames never reach a valid frame's output.
 """
 
 from __future__ import annotations
@@ -113,6 +117,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # interior gradient fully propagated; leaves keep theirs
 
     # -- primitive ops ---------------------------------------------------------
 
@@ -195,18 +200,23 @@ class Tensor:
         return Tensor._make(np.power(a.data, c), (a,), f"pow{c}", backward)
 
     def __matmul__(self, other):
+        """Matrix product over the last two axes; leading (batch) axes broadcast."""
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self, other
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
             raise ShapeError(
                 f"matmul shape mismatch {a.data.shape} @ {b.data.shape} (node op 'matmul')"
             )
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(g @ b.data.T)
+                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
             if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+                if b.data.ndim == 2:  # shared weight: one product over all batch rows
+                    k, n = b.data.shape
+                    b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                else:
+                    b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
         return Tensor._make(a.data @ b.data, (a, b), "matmul", backward)
 
@@ -296,11 +306,16 @@ class Tensor:
 
         return Tensor._make(np.mean(a.data, axis=axis, keepdims=keepdims), (a,), "mean", backward)
 
-    def softmax(self):
-        """Softmax over the last axis; rows sum to 1 within 1e-12."""
+    def softmax(self, mask=None):
+        """Softmax over the last axis; rows sum to 1 within 1e-12.
+
+        Entries where `mask` (broadcastable to the input) is false get
+        probability exactly 0 and no gradient.
+        """
         a = self
-        shifted = a.data - np.max(a.data, axis=-1, keepdims=True)
-        e = np.exp(shifted)
+        scores = a.data if mask is None else np.where(mask, a.data, -np.inf)
+        with np.errstate(invalid="ignore"):  # a fully masked row turns NaN; _make rejects it
+            e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
         out_data = e / np.sum(e, axis=-1, keepdims=True)
 
         def backward(g):
@@ -321,14 +336,15 @@ class Tensor:
 
     @property
     def T(self):
+        """Matrix transpose: swaps the last two axes (leading batch axes stay)."""
         a = self
-        if a.data.ndim != 2:
-            raise ShapeError(f"transpose requires rank-2 tensor, got shape {a.data.shape}")
+        if a.data.ndim < 2:
+            raise ShapeError(f"transpose requires rank >= 2, got shape {a.data.shape}")
 
         def backward(g):
-            a._accumulate(g.T)
+            a._accumulate(np.swapaxes(g, -1, -2))
 
-        return Tensor._make(a.data.T.copy(), (a,), "transpose", backward)
+        return Tensor._make(np.swapaxes(a.data, -1, -2).copy(), (a,), "transpose", backward)
 
     def __getitem__(self, key):
         a = self
@@ -368,34 +384,40 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat", backward)
 
 
-def stack_rows(tensors) -> Tensor:
-    """Stack rank-1 tensors of equal length into a rank-2 matrix."""
-    return concat([t.reshape(1, -1) for t in tensors], axis=0)
-
-
-def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int = 1) -> Tensor:
-    """Dilated 1D convolution over [C_in, T] preserving T.
+def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int = 1,
+                   mask=None) -> Tensor:
+    """Dilated 1D convolution over [..., C_in, T] preserving T.
 
     weight is [C_out, C_in, K] with odd K; symmetric zero padding of
-    (K-1)//2 * dilation on each side keeps the time axis length.
+    (K-1)//2 * dilation on each side keeps the time axis length. With a
+    `mask` ([B, T]) padded input frames read as zeros, so each utterance's
+    kernel edges see exactly what its own zero padding gives.
     """
-    if x.data.ndim != 2 or weight.data.ndim != 3:
-        raise ShapeError(f"conv1d expects x[C,T], w[Co,Ci,K]; got {x.data.shape}, {weight.data.shape}")
+    if x.data.ndim < 2 or weight.data.ndim != 3:
+        raise ShapeError(f"conv1d expects x[..., C, T], w[Co,Ci,K]; "
+                         f"got {x.data.shape}, {weight.data.shape}")
     c_out, c_in, k = weight.data.shape
-    if x.data.shape[0] != c_in:
-        raise ShapeError(f"conv1d channel mismatch: x has {x.data.shape[0]}, weight expects {c_in}")
+    if x.data.shape[-2] != c_in:
+        raise ShapeError(f"conv1d channel mismatch: x has {x.data.shape[-2]}, "
+                         f"weight expects {c_in}")
     if k % 2 != 1:
         raise ConfigError(f"conv1d kernel width must be odd for symmetric padding, got {k}")
     if dilation < 1:
         raise ConfigError(f"conv1d dilation must be >= 1, got {dilation}")
-    t = x.data.shape[1]
+    t = x.data.shape[-1]
     pad = (k - 1) // 2 * dilation
-    xp = np.zeros((c_in, t + 2 * pad))
-    xp[:, pad:pad + t] = x.data
-    # im2col: col[(k, c), t] stacked so conv becomes one matmul
-    col = np.empty((k * c_in, t))
+    xb = x.data.reshape(-1, c_in, t)
+    keep = None if mask is None else np.asarray(mask, dtype=np.float64).reshape(-1, 1, t)
+    if keep is not None:
+        xb = xb * keep
+    n = xb.shape[0]
+    xp = np.zeros((c_in, n, t + 2 * pad))
+    xp[:, :, pad:pad + t] = xb.transpose(1, 0, 2)
+    # im2col: col[(k, c), (b, t)] stacked so the whole batch is one matmul
+    col = np.empty((k * c_in, n, t))
     for i in range(k):
-        col[i * c_in:(i + 1) * c_in, :] = xp[:, i * dilation:i * dilation + t]
+        col[i * c_in:(i + 1) * c_in] = xp[:, :, i * dilation:i * dilation + t]
+    col = col.reshape(k * c_in, n * t)
     w_flat = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
     out_data = w_flat @ col
     parents = [x, weight]
@@ -404,19 +426,24 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
         parents.append(bias)
 
     def backward(g):
+        g = g.reshape(n, c_out, t).transpose(1, 0, 2).reshape(c_out, n * t)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=1))
         if weight.requires_grad:
-            dw_flat = g @ col.T
-            weight._accumulate(dw_flat.reshape(c_out, k, c_in).transpose(0, 2, 1))
+            weight._accumulate((g @ col.T).reshape(c_out, k, c_in).transpose(0, 2, 1))
         if x.requires_grad:
-            dcol = w_flat.T @ g
+            dcol = (w_flat.T @ g).reshape(k * c_in, n, t)
             dxp = np.zeros_like(xp)
             for i in range(k):
-                dxp[:, i * dilation:i * dilation + t] += dcol[i * c_in:(i + 1) * c_in, :]
-            x._accumulate(dxp[:, pad:pad + t])
+                dxp[:, :, i * dilation:i * dilation + t] += dcol[i * c_in:(i + 1) * c_in]
+            dx = dxp[:, :, pad:pad + t].transpose(1, 0, 2)
+            if keep is not None:
+                dx = dx * keep
+            x._accumulate(dx.reshape(x.data.shape))
 
-    return Tensor._make(out_data, parents, f"conv1d(d={dilation})", backward)
+    out_data = out_data.reshape(c_out, n, t).transpose(1, 0, 2)
+    return Tensor._make(out_data.reshape(x.data.shape[:-2] + (c_out, t)), parents,
+                        f"conv1d(d={dilation})", backward)
 
 
 def variance(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -426,29 +453,126 @@ def variance(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
 
-def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """GroupNorm over [C, T]: per-group stats over the group's channels x all time steps."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"group_norm expects [C, T], got shape {x.data.shape}")
-    c, t = x.data.shape
+def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+               mask=None) -> Tensor:
+    """GroupNorm over [..., C, T]: per-group stats over the group's channels x all time steps.
+
+    With a `mask` ([B, T]) the statistics cover valid frames only and padded
+    frames come out as exact zeros. One node with a hand-derived backward.
+    """
+    if x.data.ndim < 2:
+        raise ShapeError(f"group_norm expects [..., C, T], got shape {x.data.shape}")
+    c, t = x.data.shape[-2:]
     if num_groups < 1 or c % num_groups != 0:
         raise ConfigError(f"group_norm: {c} channels not divisible by {num_groups} groups")
     if eps <= 0:
         raise ConfigError(f"group_norm eps must be > 0, got {eps}")
-    xg = x.reshape(num_groups, (c // num_groups) * t)
-    mu = xg.mean(axis=1, keepdims=True)
-    centered = xg - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    normalized = centered / ((var + eps) ** 0.5)
-    return normalized.reshape(c, t) * gamma.reshape(c, 1) + beta.reshape(c, 1)
+    shape = x.data.shape
+    grouped = shape[:-2] + (num_groups, c // num_groups, t)
+    stat_axes = (-2, -1)
+    channel_axes = tuple(range(len(shape) - 2)) + (len(shape) - 1,)
+    if mask is None:
+        keep, out_mask, count = 1.0, None, c // num_groups * t
+    else:
+        valid = np.asarray(mask, dtype=np.float64)
+        keep = valid.reshape(valid.shape[:-1] + (1, 1, t))       # grouped layout
+        out_mask = valid.reshape(valid.shape[:-1] + (1, t))      # [..., C, T] layout
+        count = c // num_groups * keep.sum(axis=-1, keepdims=True)
+    xg = x.data.reshape(grouped)
+    mu = (xg * keep).sum(axis=stat_axes, keepdims=True) / count
+    centered = (xg - mu) * keep
+    rstd = 1.0 / np.sqrt((centered * centered).sum(axis=stat_axes, keepdims=True) / count + eps)
+    xhat = centered * rstd
+    scale = gamma.data.reshape(c, 1)
+    out_data = xhat.reshape(shape) * scale + beta.data.reshape(c, 1)
+    if out_mask is not None:
+        out_data = out_data * out_mask
+
+    def backward(g):
+        if out_mask is not None:
+            g = g * out_mask  # padded outputs are constant zeros
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat.reshape(shape)).sum(axis=channel_axes))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=channel_axes))
+        if x.requires_grad:
+            dxhat = (g * scale).reshape(grouped)
+            dx = (dxhat - dxhat.sum(axis=stat_axes, keepdims=True) / count
+                  - xhat * (dxhat * xhat).sum(axis=stat_axes, keepdims=True) / count)
+            x._accumulate((dx * rstd * keep).reshape(shape))
+
+    return Tensor._make(out_data, (x, gamma, beta), "group_norm", backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row LayerNorm over the feature axis of [T, d]."""
-    mu = x.mean(axis=1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    return centered / ((var + eps) ** 0.5) * gamma.reshape(1, -1) + beta.reshape(1, -1)
+    """Per-row LayerNorm over the feature (last) axis of [..., d]; one node."""
+    d = x.data.shape[-1]
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * rstd
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+        if beta.requires_grad:
+            beta._accumulate(g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            x._accumulate(rstd * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+
+    return Tensor._make(xhat * gamma.data + beta.data, (x, gamma, beta), "layer_norm", backward)
+
+
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
+    """Scaled dot-product self-attention over [..., T, d] split into `num_heads` heads.
+
+    With a `mask` ([B, T]) padded keys get probability 0 in every query's
+    softmax. One node: backward reuses the stored softmax [..., H, T, T]
+    instead of a per-head slice/matmul/softmax chain.
+    """
+    shape = q.data.shape
+    if q.data.ndim < 2 or k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(f"attention expects equal [..., T, d] q/k/v, got "
+                         f"{q.data.shape}, {k.data.shape}, {v.data.shape}")
+    if num_heads < 1 or shape[-1] % num_heads != 0:
+        raise ConfigError(f"attention: width {shape[-1]} not divisible by {num_heads} heads")
+    head_dim = shape[-1] // num_heads
+    inv_scale = 1.0 / np.sqrt(head_dim)
+
+    def split(a):      # [..., T, d] -> [..., H, T, d/H]
+        return np.swapaxes(a.reshape(shape[:-1] + (num_heads, head_dim)), -3, -2)
+
+    def merge(a):      # [..., H, T, d/H] -> [..., T, d]
+        return np.swapaxes(a, -3, -2).reshape(shape)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    # The [..., H, T, T] buffer is the largest array in the model: update it in place.
+    probs = qh @ np.swapaxes(kh, -1, -2)
+    probs *= inv_scale
+    if mask is not None:
+        keys = np.reshape(mask, np.shape(mask)[:-1] + (1, 1, shape[-2]))
+        np.copyto(probs, -np.inf, where=np.logical_not(keys))
+    with np.errstate(invalid="ignore"):  # a fully masked row turns NaN; _make rejects it
+        probs -= np.max(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(np.swapaxes(probs, -1, -2) @ gh))
+        if q.requires_grad or k.requires_grad:
+            ds = gh @ np.swapaxes(vh, -1, -2)
+            ds -= np.sum(ds * probs, axis=-1, keepdims=True)
+            ds *= probs
+            ds *= inv_scale
+            if q.requires_grad:
+                q._accumulate(merge(ds @ kh))
+            if k.requires_grad:
+                k._accumulate(merge(np.swapaxes(ds, -1, -2) @ qh))
+
+    return Tensor._make(merge(probs @ vh), (q, k, v), "attention", backward)
 
 
 def forward_backward(graph, inputs: dict) -> tuple:

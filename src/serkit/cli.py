@@ -149,14 +149,14 @@ def cmd_gradcheck(args) -> int:
     loss_cfg = cfg.loss_config()
     model = SERModel(cfg.model_config(args.seed))
     rng = np.random.default_rng((args.seed, 0xFD))
-    batch = [rng.normal(size=(args.frames, cfg["model.feature_dim"]))
-             for _ in range(args.batch)]
+    batch = rng.normal(size=(args.batch, args.frames, cfg["model.feature_dim"]))
+    lengths = np.full(args.batch, args.frames)
     cats = np.eye(7)[rng.integers(0, 7, size=args.batch)]
     dims = DimTargets(values=rng.uniform(0.1, 0.9, size=(args.batch, 3)),
                       present_mask=np.ones(args.batch, dtype=bool))
 
     model.zero_grad()
-    loss, _, _ = compute_batch_loss(model, batch, cats, dims, loss_cfg)
+    loss, _, _ = compute_batch_loss(model, batch, lengths, cats, dims, loss_cfg)
     loss.backward()
     analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
                 for name, t in model.trainable_parameters().items()}
@@ -166,7 +166,7 @@ def cmd_gradcheck(args) -> int:
         saved = tensor.data
         tensor.data = arr
         try:
-            return compute_batch_loss(model, batch, cats, dims, loss_cfg)[0].item()
+            return compute_batch_loss(model, batch, lengths, cats, dims, loss_cfg)[0].item()
         finally:
             tensor.data = saved
 

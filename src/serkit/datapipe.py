@@ -57,6 +57,11 @@ class ManifestRecord:
     base_dir: Optional[str] = None  # resolution root, never serialized
 
     def __post_init__(self):
+        if not isinstance(self.id, str) or not self.id:
+            raise DataError(f"record id must be a non-empty string, got {self.id!r}")
+        if not (math.isfinite(self.frame_rate_hz) and self.frame_rate_hz > 0):
+            raise DataError(f"record {self.id}: frame_rate_hz={self.frame_rate_hz} is not a "
+                            f"finite positive rate")
         EmotionLabel.from_name(self.label)  # validates
         if self.split not in VALID_SPLITS:
             raise DataError(f"record {self.id}: bad split {self.split!r}")

@@ -1,11 +1,15 @@
 """Emotion network: frozen attention encoder with LoRA, pooling, dual heads.
 
-Pipeline: feature matrix [T, D] -> frozen 2-layer pre-norm self-attention
-encoder (LoRA adapters on the q/k/v projections are the only trainable
-encoder parameters) -> downsized ECAPA-style stack with GroupNorm
+Pipeline: padded feature batch [B, T, D] plus lengths [B] -> frozen 2-layer
+pre-norm self-attention encoder (LoRA adapters on the q/k/v projections are
+the only trainable encoder parameters) -> downsized ECAPA-style stack with GroupNorm
 (input TDNN block, three SE-Res2 blocks at dilations 2/3/4, multi-feature
 aggregation conv) -> attentive statistics pooling plus multiscale
 hierarchical attention pooling -> 7-way softmax head and 3-way sigmoid head.
+
+Every stage that mixes frames (attention keys, dilated convs, GroupNorm and
+SE statistics, both poolings) is masked to each utterance's own length, so
+an utterance's prediction does not depend on its batch-mates or on padding.
 
 The encoder carries no positional encoding: order information enters the
 network only through convolution kernels wider than one frame, which keeps
@@ -23,7 +27,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, concat, conv1d_dilated, group_norm, layer_norm, stack_rows
+from .autodiff import (
+    Tensor,
+    concat,
+    conv1d_dilated,
+    group_norm,
+    layer_norm,
+    multi_head_attention,
+)
 from .errors import ConfigError, ShapeError
 from .labels import NUM_CLASSES
 
@@ -178,79 +189,93 @@ def lora_merge(base_weight: Tensor, adapter: LoraAdapter) -> Tensor:
 
 # -- pooling primitives ------------------------------------------------------
 
-_window_matrix_cache: dict = {}
 
+def _window_matrix(t: int, scale: int, lengths=None) -> tuple:
+    """Averaging matrix over non-overlapping windows of `scale` frames (remainder kept).
 
-def _window_matrix(t: int, scale: int) -> Tensor:
-    """Averaging matrix over non-overlapping windows of `scale` frames (remainder kept)."""
-    key = (t, scale)
-    cached = _window_matrix_cache.get(key)
-    if cached is None:
-        n = math.ceil(t / scale)
-        m = np.zeros((n, t))
-        for i in range(n):
-            lo, hi = i * scale, min((i + 1) * scale, t)
-            m[i, lo:hi] = 1.0 / (hi - lo)
-        cached = Tensor(m)
-        _window_matrix_cache[key] = cached
-    return cached
-
-
-def additive_attention(seq: Tensor, w: Tensor, b: Tensor, v: Tensor) -> tuple:
-    """Single-head additive attention over rows of [n, d].
-
-    Returns (summary [d], weights [n]); weights are softmax of
-    v^T tanh(W u_i + b).
+    Without `lengths`: ([N, T], None). With `lengths` ([B]) each utterance
+    gets its own windows: ([B, N, T], window mask [B, N]); windows that start
+    past an utterance's length are all-zero rows, masked out.
     """
-    scores = ((seq @ w.T + b).tanh() @ v.reshape(-1, 1)).reshape(seq.data.shape[0])
-    weights = scores.softmax()
-    summary = (weights.reshape(1, -1) @ seq).reshape(seq.data.shape[1])
-    return summary, weights
+    lo = np.arange(math.ceil(t / scale)) * scale
+    limit = t if lengths is None else np.asarray(lengths)[:, None]
+    hi = np.minimum(lo + scale, limit)
+    frames = np.arange(t)
+    inside = (frames >= lo[:, None]) & (frames < hi[..., None])
+    counts = hi - lo
+    matrix = inside / np.maximum(counts, 1)[..., None]
+    return matrix, (None if lengths is None else counts > 0)
+
+
+def attention_weights(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, mask=None) -> Tensor:
+    """Additive-attention weights over the rows of [..., n, d]: softmax of v^T tanh(W u_i + b).
+
+    Rows where `mask` ([..., n]) is false get weight 0.
+    """
+    scores = (seq @ w.T + b).tanh() @ v.reshape(-1, 1)
+    return scores.reshape(scores.shape[:-1]).softmax(mask)
+
+
+def additive_attention(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, mask=None) -> tuple:
+    """Single-head additive attention over rows of [..., n, d].
+
+    Returns (summary [..., d], weights [..., n]).
+    """
+    weights = attention_weights(seq, w, b, v, mask)
+    summary = weights.reshape(weights.shape[:-1] + (1, -1)) @ seq
+    return summary.reshape(summary.shape[:-2] + (seq.shape[-1],)), weights
 
 
 def multiscale_hierarchical_pool(hidden: Tensor, cfg: PoolingConfig,
                                  scale_attn: tuple, hier_attn: tuple,
-                                 return_details: bool = False):
-    """Multiscale + hierarchical attention pooling of [T, d] into [d].
+                                 return_details: bool = False, mask=None):
+    """Multiscale + hierarchical attention pooling of [..., T, d] into [..., d].
 
     Per scale s: average non-overlapping windows of s frames (remainder
     window kept, short inputs collapse to a single whole-sequence window),
     then apply a shared additive attention to get one summary per scale.
     A second additive attention over the per-scale summaries yields the
-    pooled vector.
+    pooled vector. With a `mask` ([B, T]) the windows follow each
+    utterance's own length.
     """
-    t = hidden.data.shape[0]
+    t = hidden.shape[-2]
     if t == 0:
         raise ShapeError("multiscale pooling on empty input (T=0)")
+    lengths = None if mask is None else np.sum(mask, axis=-1)
     summaries = []
     scale_weights = {}
     for scale in cfg.scales:
-        windowed = _window_matrix(t, scale) @ hidden
-        summary, weights = additive_attention(windowed, *scale_attn)
-        summaries.append(summary)
+        if scale == 1:  # the window matrix would be the identity
+            windowed, window_mask = hidden, mask
+        else:
+            matrix, window_mask = _window_matrix(t, scale, lengths)
+            windowed = Tensor(matrix) @ hidden
+        summary, weights = additive_attention(windowed, *scale_attn, mask=window_mask)
+        summaries.append(summary.reshape(summary.shape[:-1] + (1, -1)))
         scale_weights[scale] = weights
-    stacked = stack_rows(summaries)
-    pooled, hier_weights = additive_attention(stacked, *hier_attn)
+    pooled, hier_weights = additive_attention(concat(summaries, axis=-2), *hier_attn)
     if return_details:
         return pooled, {"scale_weights": scale_weights, "hier_weights": hier_weights}
     return pooled
 
 
 def attentive_stats_pool(x: Tensor, w: Tensor, b: Tensor, v: Tensor,
-                         var_floor: float = 1e-12) -> Tensor:
-    """Attention-weighted mean and std per channel of [C, T], concatenated to [2C].
+                         var_floor: float = 1e-12, mask=None) -> Tensor:
+    """Attention-weighted mean and std per channel of [..., C, T], concatenated to [..., 2C].
 
     The variance is floored (default sqrt -> std floor 1e-6) so constant
-    inputs stay differentiable.
+    inputs stay differentiable. With a `mask` ([B, T]) padded frames get
+    attention weight 0 (Okabe et al., arXiv:1803.10963, over valid frames).
     """
-    if x.data.shape[1] < 1:
+    if x.shape[-1] < 1:
         raise ShapeError("attentive stats pooling needs at least one frame")
-    summary, weights = additive_attention(x.T, w, b, v)   # weights over T
-    col = weights.reshape(-1, 1)
-    mean = (x @ col).reshape(x.data.shape[0])
-    second = ((x * x) @ col).reshape(x.data.shape[0])
+    weights = attention_weights(x.T, w, b, v, mask)
+    col = weights.reshape(weights.shape + (1,))
+    channels = x.shape[:-1]
+    mean = (x @ col).reshape(channels)
+    second = ((x * x) @ col).reshape(channels)
     std = (second - mean * mean).maximum(var_floor) ** 0.5
-    return concat([mean, std], axis=0)
+    return concat([mean, std], axis=-1)
 
 
 # -- model ------------------------------------------------------------------
@@ -424,25 +449,18 @@ class SERModel:
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"])
 
-    def _attention(self, x: Tensor, prefix: str) -> Tensor:
-        enc = self.cfg.encoder
-        dh = enc.model_dim // enc.num_heads
+    def _attention(self, x: Tensor, prefix: str, mask=None) -> Tensor:
         q = self._project(x, f"{prefix}.q")
         k = self._project(x, f"{prefix}.k")
         v = self._project(x, f"{prefix}.v")
-        heads = []
-        inv_scale = 1.0 / math.sqrt(dh)
-        for h in range(enc.num_heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            scores = (q[:, sl] @ k[:, sl].T) * inv_scale
-            heads.append(scores.softmax() @ v[:, sl])
-        return self._linear(concat(heads, axis=1), f"{prefix}.out")
+        heads = multi_head_attention(q, k, v, self.cfg.encoder.num_heads, mask)
+        return self._linear(heads, f"{prefix}.out")
 
-    def encoder_forward(self, features: Tensor) -> Tensor:
-        """Frozen encoder with LoRA; gradient reaches only adapter parameters."""
-        if features.data.ndim != 2:
-            raise ShapeError(f"features must be [T, D], got shape {features.data.shape}")
-        t, din = features.data.shape
+    def encoder_forward(self, features: Tensor, mask=None) -> Tensor:
+        """Frozen encoder with LoRA over [..., T, D]; gradient reaches only adapter parameters."""
+        if features.data.ndim not in (2, 3):
+            raise ShapeError(f"features must be [T, D] or [B, T, D], got {features.data.shape}")
+        t, din = features.data.shape[-2:]
         if t < 1:
             raise ShapeError("encoder input has no frames (T=0)")
         if din != self.cfg.feature_dim:
@@ -452,54 +470,58 @@ class SERModel:
         h = self._linear(features, "encoder.in_proj")
         for i in range(self.cfg.encoder.num_layers):
             p = f"encoder.layer{i}"
-            h = h + self._attention(self._layer_norm(h, f"{p}.ln1"), f"{p}.attn")
+            h = h + self._attention(self._layer_norm(h, f"{p}.ln1"), f"{p}.attn", mask)
             n = self._layer_norm(h, f"{p}.ln2")
             ff = self._linear(n, f"{p}.ff.w1").relu()
             h = h + self._linear(ff, f"{p}.ff.w2")
         return self._layer_norm(h, "encoder.ln_out")
 
-    def _conv_gn_relu(self, x: Tensor, conv_prefix: str, gn_prefix: str, dilation: int = 1,
-                      apply_relu: bool = True) -> Tensor:
-        e = self.cfg.ecapa
-        out = conv1d_dilated(x, self.params[f"{conv_prefix}.weight"],
-                             self.params[f"{conv_prefix}.bias"], dilation=dilation)
-        out = group_norm(out, e.gn_groups, self.params[f"{gn_prefix}.gamma"],
-                         self.params[f"{gn_prefix}.beta"], eps=e.gn_eps)
-        return out.relu() if apply_relu else out
+    def _conv(self, x: Tensor, prefix: str, dilation: int = 1, mask=None) -> Tensor:
+        return conv1d_dilated(x, self.params[f"{prefix}.weight"], self.params[f"{prefix}.bias"],
+                              dilation=dilation, mask=mask)
 
-    def ecapa_block_forward(self, x: Tensor, block_index: int) -> Tensor:
-        """SE-Res2 block: 1x1 conv, Res2 dilated convs, 1x1 conv, SE gate, residual."""
+    def _group_norm(self, x: Tensor, prefix: str, mask=None) -> Tensor:
+        e = self.cfg.ecapa
+        return group_norm(x, e.gn_groups, self.params[f"{prefix}.gamma"],
+                          self.params[f"{prefix}.beta"], eps=e.gn_eps, mask=mask)
+
+    def ecapa_block_forward(self, x: Tensor, block_index: int, mask=None) -> Tensor:
+        """SE-Res2 block over [..., C, T]: 1x1 conv, Res2 dilated convs, 1x1 conv, SE gate,
+        residual."""
         e = self.cfg.ecapa
         p = f"ecapa.block{block_index}"
         dilation = e.dilations[block_index]
         width = e.channels // e.res2_scale
 
-        out = self._conv_gn_relu(x, f"{p}.conv1", f"{p}.gn1", dilation=1)
+        out = self._group_norm(self._conv(x, f"{p}.conv1"), f"{p}.gn1", mask).relu()
         # Res2 split: first chunk passes through, the rest get dilated convs.
-        chunks = [out[0:width, :]]
+        chunks = [out[..., 0:width, :]]
         for j in range(1, e.res2_scale):
-            piece = out[j * width:(j + 1) * width, :]
-            chunks.append(conv1d_dilated(piece, self.params[f"{p}.res2.conv{j}.weight"],
-                                         self.params[f"{p}.res2.conv{j}.bias"], dilation=dilation))
-        out = concat(chunks, axis=0)
-        out = group_norm(out, e.gn_groups, self.params[f"{p}.gn2.gamma"],
-                         self.params[f"{p}.gn2.beta"], eps=e.gn_eps).relu()
-        out = self._conv_gn_relu(out, f"{p}.conv3", f"{p}.gn3", dilation=1, apply_relu=False)
+            chunks.append(self._conv(out[..., j * width:(j + 1) * width, :],
+                                     f"{p}.res2.conv{j}", dilation, mask))
+        out = self._group_norm(concat(chunks, axis=-2), f"{p}.gn2", mask).relu()
+        out = self._group_norm(self._conv(out, f"{p}.conv3"), f"{p}.gn3", mask)
         # Squeeze-excitation channel gate from the time-averaged signal.
-        squeeze = out.mean(axis=1).reshape(1, -1)
-        gate = self._linear(squeeze, f"{p}.se.fc1").relu()
+        # GroupNorm left padded frames at exactly zero, so a sum over T
+        # divided by the length is the mean over valid frames.
+        if mask is None:
+            squeeze = out.mean(axis=-1, keepdims=True)
+        else:
+            squeeze = out.sum(axis=-1, keepdims=True) / np.sum(mask, axis=-1)[:, None, None]
+        gate = self._linear(squeeze.T, f"{p}.se.fc1").relu()
         gate = self._linear(gate, f"{p}.se.fc2").sigmoid()
-        out = out * gate.reshape(-1, 1)
-        return x + out
+        return x + out * gate.T
 
-    def ecapa_forward(self, hidden: Tensor) -> Tensor:
-        """Frame-level ECAPA stack on encoder output [T, d] -> [C, T]."""
-        x = self._conv_gn_relu(hidden.T, "ecapa.input.conv", "ecapa.input.gn", dilation=1)
+    def ecapa_forward(self, hidden: Tensor, mask=None) -> Tensor:
+        """Frame-level ECAPA stack on encoder output [..., T, d] -> [..., C, T]."""
+        x = self._conv(hidden.T, "ecapa.input.conv", mask=mask)
+        x = self._group_norm(x, "ecapa.input.gn", mask).relu()
         block_outs = []
         for i in range(len(self.cfg.ecapa.dilations)):
-            x = self.ecapa_block_forward(x, i)
+            x = self.ecapa_block_forward(x, i, mask)
             block_outs.append(x)
-        return self._conv_gn_relu(concat(block_outs, axis=0), "ecapa.mfa.conv", "ecapa.mfa.gn")
+        x = self._conv(concat(block_outs, axis=-2), "ecapa.mfa.conv")
+        return self._group_norm(x, "ecapa.mfa.gn", mask).relu()
 
     def _stats_attn_params(self):
         return (self.params["ecapa.stats.attn.W"], self.params["ecapa.stats.attn.b"],
@@ -508,33 +530,51 @@ class SERModel:
     def _pool_params(self, prefix: str):
         return (self.params[f"{prefix}.W"], self.params[f"{prefix}.b"], self.params[f"{prefix}.v"])
 
-    def pooled_representation(self, features: Tensor) -> Tensor:
-        """[T, D] features -> fixed-size [3C] vector feeding both heads."""
-        hidden = self.encoder_forward(features)
-        frames = self.ecapa_forward(hidden)            # [C, T]
-        stats = attentive_stats_pool(frames, *self._stats_attn_params())
+    def pooled_representation(self, features: Tensor, mask=None) -> Tensor:
+        """[..., T, D] features -> fixed-size [..., 3C] vector feeding both heads."""
+        hidden = self.encoder_forward(features, mask)
+        frames = self.ecapa_forward(hidden, mask)            # [..., C, T]
+        stats = attentive_stats_pool(frames, *self._stats_attn_params(), mask=mask)
         summary = multiscale_hierarchical_pool(frames.T, self.cfg.pooling,
                                                self._pool_params("pool.scale_attn"),
-                                               self._pool_params("pool.hier_attn"))
-        return concat([stats, summary], axis=0)
+                                               self._pool_params("pool.hier_attn"), mask=mask)
+        return concat([stats, summary], axis=-1)
 
-    def forward(self, features) -> ModelOutput:
+    def forward_batch(self, features, lengths) -> tuple:
+        """Padded batch [B, T, D] with valid lengths [B] -> (probs, dims, logits).
+
+        probs and logits are [B, 7], dims [B, 3]. Row b reads only its first
+        lengths[b] frames, so it equals `forward` on the unpadded utterance
+        whatever the padding or batch-mates.
+        """
         if not isinstance(features, Tensor):
             features = Tensor(np.asarray(features, dtype=np.float64))
-        pooled = self.pooled_representation(features).reshape(1, -1)
-        logits = self._linear(pooled, "head.cat").reshape(NUM_CLASSES)
-        probs = logits.softmax()
-        dim_scores = self._linear(pooled, "head.dim").reshape(3).sigmoid()
-        a, v, d = (float(x) for x in dim_scores.data)
-        return ModelOutput(cat_logits=logits, cat_probs=probs, dim_tensor=dim_scores,
-                           dims=DimScores(arousal=a, valence=v, dominance=d))
+        lengths = np.asarray(lengths)
+        if features.data.ndim != 3 or lengths.shape != features.shape[:1]:
+            raise ShapeError(f"forward_batch expects features [B, T, D] and lengths [B], got "
+                             f"{features.shape} and {lengths.shape}")
+        t = features.shape[1]
+        if lengths.size == 0 or lengths.min() < 1 or lengths.max() > t:
+            raise ShapeError(f"lengths must lie in [1, {t}], got {lengths.tolist()}")
+        mask = None if np.all(lengths == t) else np.arange(t) < lengths[:, None]
+        pooled = self.pooled_representation(features, mask)
+        logits = self._linear(pooled, "head.cat")
+        dims = self._linear(pooled, "head.dim").sigmoid()
+        return logits.softmax(), dims, logits
 
-    def forward_batch(self, feature_list) -> tuple:
-        """Stack per-utterance outputs into batch tensors (probs [B,7], dims [B,3])."""
-        outputs = [self.forward(f) for f in feature_list]
-        probs = stack_rows([o.cat_probs for o in outputs])
-        dims = stack_rows([o.dim_tensor for o in outputs])
-        return probs, dims, outputs
+    def forward(self, features) -> ModelOutput:
+        """One utterance [T, D]: `forward_batch` at B=1."""
+        if not isinstance(features, Tensor):
+            features = Tensor(np.asarray(features, dtype=np.float64))
+        if features.data.ndim != 2:
+            raise ShapeError(f"features must be [T, D], got shape {features.data.shape}")
+        batch = features.reshape((1,) + features.shape)
+        probs, dim_scores, logits = self.forward_batch(batch, [features.shape[0]])
+        dim_scores = dim_scores.reshape(3)
+        a, v, d = (float(x) for x in dim_scores.data)
+        return ModelOutput(cat_logits=logits.reshape(NUM_CLASSES),
+                           cat_probs=probs.reshape(NUM_CLASSES), dim_tensor=dim_scores,
+                           dims=DimScores(arousal=a, valence=v, dominance=d))
 
     # -- LoRA merge --
 

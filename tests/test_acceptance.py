@@ -115,10 +115,10 @@ def test_lora_contract():
         frozen = {n: t.data.copy() for n, t in adapted.params.items() if not t.requires_grad}
         opt = AdamWGroups(adapted.backbone_parameters(), adapted.downstream_parameters(),
                           OptimizerConfig(backbone_lr=1e-3, downstream_lr=1e-2))
-        batch = [rng.normal(size=(6, 16)) for _ in range(2)]
+        batch = rng.normal(size=(2, 6, 16))
         for _ in range(100):
             adapted.zero_grad()
-            probs, dims, _ = adapted.forward_batch(batch)
+            probs, dims, _ = adapted.forward_batch(batch, [6, 6])
             ((probs * probs).sum() + (dims * dims).sum()).backward()
             opt.step()
         for name, before in frozen.items():

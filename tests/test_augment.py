@@ -152,7 +152,7 @@ class TestMixup:
         cfg = AugmentConfig(mixup_prob=1.0)
         for _ in range(200):
             features, cats, dims = self._batch(rng, b=5)
-            _, cx, dx = mixup_batch(features, cats, dims, cfg, rng)
+            _, _, cx, dx = mixup_batch(features, np.full(5, 6), cats, dims, cfg, rng)
             assert np.all(cx >= -1e-15)
             np.testing.assert_allclose(cx.sum(axis=1), 1.0, atol=1e-12)
             assert np.all(dx.values >= -1e-15) and np.all(dx.values <= 1 + 1e-15)
@@ -161,7 +161,7 @@ class TestMixup:
         rng = np.random.default_rng(12)
         features, cats, dims = self._batch(rng)
         cfg = AugmentConfig(mixup_prob=0.0)
-        fx, cx, _ = mixup_batch(features, cats, dims, cfg, rng)
+        fx, _, cx, _ = mixup_batch(features, np.full(4, 6), cats, dims, cfg, rng)
         np.testing.assert_array_equal(fx, features)
         assert AUGMENT_COUNTS["mixup"] == 0
 
@@ -170,9 +170,24 @@ class TestMixup:
         features, cats, dims = self._batch(rng, b=1)
         cfg = AugmentConfig(mixup_prob=1.0)
         with caplog.at_level("WARNING", logger="serkit.augment"):
-            fx, _, _ = mixup_batch(features, cats, dims, cfg, rng)
+            fx, _, _, _ = mixup_batch(features, np.full(1, 6), cats, dims, cfg, rng)
         np.testing.assert_array_equal(fx, features)
         assert any("batch of 1" in r.message for r in caplog.records)
+
+    def test_mixed_lengths_are_the_union(self):
+        rng = np.random.default_rng(15)
+        lengths = np.array([2, 6, 4, 5, 1])
+        features, cats, dims = self._batch(rng, b=5)
+        features *= (np.arange(6) < lengths[:, None])[:, :, None]
+        cfg = AugmentConfig(mixup_prob=1.0)
+        fx, lx, _, _ = mixup_batch(features, lengths, cats, dims, cfg, np.random.default_rng(3))
+        replay = np.random.default_rng(3)
+        replay.random()
+        replay.beta(cfg.mixup_alpha, cfg.mixup_alpha)
+        perm = replay.permutation(5)
+        np.testing.assert_array_equal(lx, np.maximum(lengths, lengths[perm]))
+        extents = [int(np.flatnonzero(row.any(axis=1)).max()) + 1 for row in fx]
+        assert extents == lx.tolist()
 
     def test_mask_intersection(self):
         features = np.zeros((2, 2, 2))
@@ -186,7 +201,7 @@ class TestMixup:
         rng = np.random.default_rng(14)
         features, cats, dims = self._batch(rng)
         cfg = AugmentConfig(mixup_prob=1.0)
-        mixup_batch(features, cats, dims, cfg, rng)
+        mixup_batch(features, np.full(4, 6), cats, dims, cfg, rng)
         speed_perturb(features[0], 0.9)
         add_noise_snr(features[0], 10.0, white_noise_source, rng)
         assert AUGMENT_COUNTS == {"mixup": 1, "noise": 1, "speed": 1}

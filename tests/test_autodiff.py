@@ -11,6 +11,7 @@ from serkit.autodiff import (
     forward_backward,
     group_norm,
     layer_norm,
+    multi_head_attention,
     relative_error,
     variance,
 )
@@ -312,3 +313,183 @@ class TestNumericContracts:
         second = run()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+# -- composed references for the fused ops --------------------------------------
+
+
+def composed_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """LayerNorm over rows of [T, d] built from elementary ops."""
+    mu = x.mean(axis=1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    return centered / ((var + eps) ** 0.5) * gamma.reshape(1, -1) + beta.reshape(1, -1)
+
+
+def composed_group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor,
+                        eps: float = 1e-5) -> Tensor:
+    """GroupNorm over [C, T] built from elementary ops."""
+    c, t = x.data.shape
+    xg = x.reshape(num_groups, (c // num_groups) * t)
+    mu = xg.mean(axis=1, keepdims=True)
+    centered = xg - mu
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    normalized = centered / ((var + eps) ** 0.5)
+    return normalized.reshape(c, t) * gamma.reshape(c, 1) + beta.reshape(c, 1)
+
+
+def composed_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
+    """Per-head slice/matmul/softmax chain over [T, d]."""
+    dh = q.data.shape[1] // num_heads
+    heads = []
+    for h in range(num_heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        scores = (q[:, sl] @ k[:, sl].T) * (1.0 / np.sqrt(dh))
+        heads.append(scores.softmax() @ v[:, sl])
+    return concat(heads, axis=1)
+
+
+def padded_batch(rng, lengths, width, t_max, time_axis):
+    """Random batch with zero padding past each length, plus its [B, T] mask."""
+    lengths = np.asarray(lengths)
+    shape = (len(lengths), t_max, width) if time_axis == 1 else (len(lengths), width, t_max)
+    x = rng.uniform(-1.0, 1.0, size=shape)
+    mask = (np.arange(t_max) < lengths[:, None]).astype(float)
+    x *= mask[:, :, None] if time_axis == 1 else mask[:, None, :]
+    return x, mask
+
+
+LENGTHS = (5, 2, 7)
+
+
+class TestFusedOps:
+    """Fused ops against their composed references (forward) and FD (backward)."""
+
+    def test_layer_norm_matches_composed(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(3, 5, 6))
+        gamma, beta = Tensor(rng.uniform(0.5, 1.5, 6)), Tensor(rng.uniform(-0.5, 0.5, 6))
+        fused = layer_norm(Tensor(x), gamma, beta).data
+        for b in range(3):
+            ref = composed_layer_norm(Tensor(x[b]), gamma, beta).data
+            np.testing.assert_allclose(fused[b], ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_layer_norm_batched_grads(self, trial):
+        rng = np.random.default_rng(12000 + trial)
+        x0 = rng.uniform(-1.0, 1.0, size=(2, 3, 4))
+        gamma0, beta0 = rng.uniform(0.5, 1.5, 4), rng.uniform(-0.5, 0.5, 4)
+        fd_check(lambda x: layer_norm(x, Tensor(gamma0), Tensor(beta0)), x0)
+        fd_check(lambda g: layer_norm(Tensor(x0), g, Tensor(beta0)), gamma0)
+        fd_check(lambda b: layer_norm(Tensor(x0), Tensor(gamma0), b), beta0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_group_norm_matches_composed(self, masked):
+        rng = np.random.default_rng(2)
+        lengths = LENGTHS if masked else (7, 7, 7)
+        x, mask = padded_batch(rng, lengths, 4, 7, time_axis=2)
+        gamma, beta = Tensor(rng.uniform(0.5, 1.5, 4)), Tensor(rng.uniform(-0.5, 0.5, 4))
+        fused = group_norm(Tensor(x), 2, gamma, beta, mask=mask if masked else None).data
+        for b, n in enumerate(lengths):
+            ref = composed_group_norm(Tensor(x[b, :, :n]), 2, gamma, beta).data
+            np.testing.assert_allclose(fused[b, :, :n], ref, rtol=0, atol=1e-12)
+            assert np.all(fused[b, :, n:] == 0.0)
+
+    @pytest.mark.parametrize("trial", range(10))
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_group_norm_grads(self, trial, masked):
+        rng = np.random.default_rng(13000 + trial)
+        x0, mask = padded_batch(rng, LENGTHS, 4, 7, time_axis=2)
+        x0 += rng.uniform(-1.0, 1.0, size=x0.shape) * (1.0 - mask[:, None, :])  # junk padding
+        mask = mask if masked else None
+        gamma0, beta0 = rng.uniform(0.5, 1.5, 4), rng.uniform(-0.5, 0.5, 4)
+        fd_check(lambda x: group_norm(x, 2, Tensor(gamma0), Tensor(beta0), mask=mask), x0)
+        fd_check(lambda g: group_norm(Tensor(x0), 2, g, Tensor(beta0), mask=mask), gamma0)
+        fd_check(lambda b: group_norm(Tensor(x0), 2, Tensor(gamma0), b, mask=mask), beta0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_matches_composed(self, masked):
+        rng = np.random.default_rng(3)
+        lengths = LENGTHS if masked else (7, 7, 7)
+        q, mask = padded_batch(rng, lengths, 8, 7, time_axis=1)
+        k = rng.normal(size=q.shape)
+        v = rng.normal(size=q.shape)
+        fused = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), 2,
+                                     mask=mask if masked else None).data
+        for b, n in enumerate(lengths):
+            ref = composed_attention(Tensor(q[b, :n]), Tensor(k[b, :n]), Tensor(v[b, :n]), 2)
+            np.testing.assert_allclose(fused[b, :n], ref.data, rtol=0, atol=1e-12)
+        single = multi_head_attention(Tensor(q[0]), Tensor(k[0]), Tensor(v[0]), 2).data
+        np.testing.assert_allclose(single, composed_attention(
+            Tensor(q[0]), Tensor(k[0]), Tensor(v[0]), 2).data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trial", range(10))
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_attention_grads(self, trial, masked):
+        rng = np.random.default_rng(14000 + trial)
+        _, mask = padded_batch(rng, LENGTHS, 4, 7, time_axis=1)
+        mask = mask if masked else None
+        q0, k0, v0 = rng.uniform(-1.0, 1.0, size=(3, 3, 7, 4))   # junk in padded rows too
+        fd_check(lambda q: multi_head_attention(q, Tensor(k0), Tensor(v0), 2, mask=mask), q0)
+        fd_check(lambda k: multi_head_attention(Tensor(q0), k, Tensor(v0), 2, mask=mask), k0)
+        fd_check(lambda v: multi_head_attention(Tensor(q0), Tensor(k0), v, 2, mask=mask), v0)
+
+    def test_attention_fully_masked_row_raises(self):
+        x = Tensor(np.ones((1, 3, 4)))
+        with pytest.raises(NumericError, match="attention"):
+            multi_head_attention(x, x, x, 2, mask=np.zeros((1, 3)))
+
+
+class TestBatchedPrimitives:
+    """Leading batch axis and length mask on the primitive ops."""
+
+    def test_masked_conv_matches_per_utterance(self):
+        rng = np.random.default_rng(4)
+        x, mask = padded_batch(rng, LENGTHS, 3, 7, time_axis=2)
+        x += 5.0 * (1.0 - mask[:, None, :])   # padding must not leak into the result
+        w = Tensor(rng.normal(size=(2, 3, 3)))
+        b = Tensor(rng.normal(size=2))
+        out = conv1d_dilated(Tensor(x), w, b, dilation=2, mask=mask).data
+        for i, n in enumerate(LENGTHS):
+            ref = conv1d_dilated(Tensor(x[i, :, :n]), w, b, dilation=2).data
+            np.testing.assert_allclose(out[i, :, :n], ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_masked_conv_grads(self, trial):
+        rng = np.random.default_rng(15000 + trial)
+        x0, mask = padded_batch(rng, LENGTHS, 3, 7, time_axis=2)
+        w0 = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
+        b0 = rng.uniform(-1.0, 1.0, size=2)
+        fd_check(lambda x: conv1d_dilated(x, Tensor(w0), Tensor(b0), 2, mask=mask), x0)
+        fd_check(lambda w: conv1d_dilated(Tensor(x0), w, Tensor(b0), 2, mask=mask), w0)
+        fd_check(lambda b: conv1d_dilated(Tensor(x0), Tensor(w0), b, 2, mask=mask), b0)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_batched_matmul_grads(self, trial):
+        rng = np.random.default_rng(16000 + trial)
+        a0 = rng.uniform(-1.0, 1.0, size=(2, 3, 4))
+        w0 = rng.uniform(-1.0, 1.0, size=(4, 5))
+        m0 = rng.uniform(-1.0, 1.0, size=(2, 4, 2))
+        fd_check(lambda a: a @ Tensor(w0), a0)
+        fd_check(lambda a: a @ Tensor(m0), a0)
+        fd_check(lambda w: Tensor(a0) @ w, w0)
+        fd_check(lambda m: Tensor(a0) @ m, m0)
+        fd_check(lambda a: Tensor(w0.T) @ a.T, a0)       # 2-D @ batched
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_masked_softmax_grads(self, trial):
+        rng = np.random.default_rng(17000 + trial)
+        x0 = rng.uniform(-1.0, 1.0, size=(3, 5))
+        mask = np.arange(5) < np.array([[5], [1], [3]])
+        out = Tensor(x0).softmax(mask).data
+        assert np.all(out[~mask] == 0.0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
+        fd_check(lambda x: x.softmax(mask), x0)
+
+    def test_backward_frees_interior_gradients(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        hidden = x * 3.0
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        assert hidden.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, [18.0, 36.0])

@@ -1,0 +1,26 @@
+"""Smoke test of the benchmark harness: a short traced train-short run.
+
+The harness wraps serkit functions by name, so a renamed entry point or
+stage crashes `--trace 1`; this test notices that inside the test suite.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_traced_train_short_run_reports_every_layer_metric():
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-short", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        declared = {metric["name"] for metric in json.load(handle)["per_layer"]}
+    assert set(result["metrics"]) == declared
+    assert 0 < result["metrics"]["autodiff.nodes_per_step"]["value"] < 1000

@@ -266,7 +266,10 @@ class TestManifests:
         path = tmp_path / "bad.jsonl"
         bad_frames = {"id": "x", "features_path": "x.serf", "frames": "x",
                       "frame_rate_hz": 8.0, "label": "Happy"}
-        for line in (json.dumps(bad_frames), "[1, 2]"):
+        zero_rate = dict(bad_frames, frames=4, frame_rate_hz=0)
+        numeric_id = dict(bad_frames, frames=4, id=5)
+        for line in (json.dumps(bad_frames), "[1, 2]", json.dumps(zero_rate),
+                     json.dumps(numeric_id)):
             path.write_text(line + "\n")
             with pytest.raises(DataError, match="bad.jsonl:1"):
                 read_manifest(str(path))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serkit.autodiff import Tensor, finite_difference_gradient, relative_error
 from serkit.errors import ConfigError, ShapeError
@@ -361,8 +363,7 @@ class TestModelForward:
         for trial in range(20):
             trial_rng = np.random.default_rng(100 + trial)
             model.zero_grad()
-            probs, dims, _ = model.forward_batch([trial_rng.normal(size=(7, 8))
-                                                  for _ in range(2)])
+            probs, dims, _ = model.forward_batch(trial_rng.normal(size=(2, 7, 8)), [7, 7])
             ((probs * probs).sum() + (dims * dims).sum()).backward()
             for name, tensor in model.trainable_parameters().items():
                 if tensor.grad is not None and np.any(tensor.grad != 0.0):
@@ -405,3 +406,34 @@ class TestModelForward:
         state["head.cat.weight"] = np.zeros((2, 2))
         with pytest.raises(ShapeError, match="head.cat.weight"):
             model.load_state(state)
+
+
+PADDING_MODEL = SERModel(small_config(seed=21))
+for _adapter in PADDING_MODEL.adapters.values():   # let the adapters act on the encoder
+    _adapter.B.data = np.random.default_rng(22).normal(0.0, 0.1, size=_adapter.B.data.shape)
+
+
+class TestPaddingInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+           extra=st.integers(0, 4), seed=st.integers(0, 2**16))
+    def test_batched_forward_equals_per_utterance(self, lengths, extra, seed):
+        """A padded batch row equals the unpadded utterance's forward, whatever the padding."""
+        rng = np.random.default_rng(seed)
+        utterances = [rng.normal(size=(n, 8)) for n in lengths]
+        batch = np.zeros((len(lengths), max(lengths) + extra, 8))
+        for i, x in enumerate(utterances):
+            batch[i, :len(x)] = x
+        probs, dims, _ = PADDING_MODEL.forward_batch(batch, lengths)
+        for i, x in enumerate(utterances):
+            single = PADDING_MODEL.forward(x)
+            np.testing.assert_allclose(probs.data[i], single.cat_probs.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dims.data[i], single.dim_tensor.data, rtol=0, atol=1e-12)
+
+    def test_bad_lengths_rejected(self):
+        with pytest.raises(ShapeError):
+            PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [5, 6])
+        with pytest.raises(ShapeError):
+            PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [0, 5])
+        with pytest.raises(ShapeError):
+            PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [5])

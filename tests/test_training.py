@@ -10,13 +10,15 @@ from serkit.augment import AugmentConfig, reset_augment_counters, total_augment_
 from serkit.checkpoint import load_into_model
 from serkit.datapipe import FeatureStore, read_manifest, synth_dataset
 from serkit.errors import DataError
-from serkit.losses import LossConfig
+from serkit.losses import DimTargets, LossConfig
 from serkit.model import SERModel
 from serkit.optim import OptimizerConfig
 from serkit.training import (
     TrainConfig,
     TrainState,
+    _stack_padded,
     check_disjoint_splits,
+    compute_batch_loss,
     dev_categorical_loss,
     train_loop,
 )
@@ -174,3 +176,30 @@ class TestTrainLoop:
                    augment_cfg=AugmentConfig())
         for name, before in frozen.items():
             assert np.array_equal(model.params[name].data, before), name
+
+
+class TestBatchLoss:
+    def test_extra_padding_changes_neither_loss_nor_gradients(self):
+        model = tiny_model(seed=4)
+        for adapter in model.adapters.values():
+            adapter.B.data = np.random.default_rng(5).normal(0.0, 0.1, size=adapter.B.data.shape)
+        rng = np.random.default_rng(6)
+        features, lengths = _stack_padded([rng.normal(size=(n, 8)) for n in (3, 9, 6, 1)])
+        np.testing.assert_array_equal(lengths, [3, 9, 6, 1])
+        cats = np.eye(7)[[0, 3, 5, 1]]
+        dims = DimTargets(values=rng.uniform(0, 1, size=(4, 3)), present_mask=np.ones(4, bool))
+
+        def loss_and_grads(batch):
+            model.zero_grad()
+            loss, _, _ = compute_batch_loss(model, batch, lengths, cats, dims, LossConfig())
+            loss.backward()
+            return loss.item(), {name: t.grad.copy()
+                                 for name, t in model.trainable_parameters().items()}
+
+        loss, grads = loss_and_grads(features)
+        padded_loss, padded_grads = loss_and_grads(
+            np.concatenate([features, np.zeros((4, 5, 8))], axis=1))
+        assert abs(loss - padded_loss) < 1e-12
+        for name, grad in grads.items():
+            np.testing.assert_allclose(padded_grads[name], grad, rtol=0, atol=1e-12,
+                                       err_msg=name)
