@@ -283,28 +283,30 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         a = self
+        out = np.sum(a.data, axis=axis, keepdims=keepdims)
 
         def backward(g):
             if axis is None:
                 a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape).copy())
             else:
-                gg = g if keepdims else np.expand_dims(g, axis)
+                gg = g if keepdims else np.expand_dims(g.reshape(out.shape), axis)
                 a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
 
-        return Tensor._make(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), "sum", backward)
+        return Tensor._make(out, (a,), "sum", backward)
 
     def mean(self, axis=None, keepdims=False):
         a = self
         n = a.data.size if axis is None else a.data.shape[axis]
+        out = np.mean(a.data, axis=axis, keepdims=keepdims)
 
         def backward(g):
             if axis is None:
                 a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape) / n)
             else:
-                gg = g if keepdims else np.expand_dims(g, axis)
+                gg = g if keepdims else np.expand_dims(g.reshape(out.shape), axis)
                 a._accumulate(np.broadcast_to(gg, a.data.shape) / n)
 
-        return Tensor._make(np.mean(a.data, axis=axis, keepdims=keepdims), (a,), "mean", backward)
+        return Tensor._make(out, (a,), "mean", backward)
 
     def softmax(self, mask=None):
         """Softmax over the last axis; rows sum to 1 within 1e-12.
@@ -347,26 +349,15 @@ class Tensor:
         return Tensor._make(np.swapaxes(a.data, -1, -2).copy(), (a,), "transpose", backward)
 
     def __getitem__(self, key):
+        """Basic or integer-array indexing; backward scatter-adds, so repeated indices sum."""
         a = self
 
         def backward(g):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[key] += g
+            np.add.at(a.grad, key, g)
 
         return Tensor._make(a.data[key].copy(), (a,), "slice", backward)
-
-    def gather_rows(self, indices):
-        """Select rows by integer index array; backward scatter-adds."""
-        a = self
-        idx = np.asarray(indices, dtype=np.intp)
-
-        def backward(g):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
-
-        return Tensor._make(a.data[idx].copy(), (a,), "gather", backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -444,13 +435,6 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
     out_data = out_data.reshape(c_out, n, t).transpose(1, 0, 2)
     return Tensor._make(out_data.reshape(x.data.shape[:-2] + (c_out, t)), parents,
                         f"conv1d(d={dilation})", backward)
-
-
-def variance(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Population (divide-by-n) variance, differentiable."""
-    mu = x.mean(axis=axis, keepdims=True)
-    centered = x - mu
-    return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
 
 def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5,

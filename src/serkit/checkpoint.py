@@ -91,7 +91,10 @@ def load_checkpoint(path: str) -> tuple:
         end = offset + 8 * count
         if end > total:
             raise DataError(f"truncated tensor '{name}' in {path}")
-        tensors[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:  # numpy cannot shape these dims
+            raise DataError(f"tensor '{name}' in {path}: bad dims {dims} ({exc})") from None
         offset = end
     return tensors, meta
 

@@ -16,7 +16,7 @@ import hashlib
 import os
 
 from .augment import AugmentConfig
-from .datapipe import MERGE_CAP_S
+from .datapipe import MERGE_CAP_S, text_lines
 from .errors import ConfigError
 from .losses import LossConfig
 from .model import EcapaConfig, EncoderStubConfig, LoraConfig, ModelConfig, PoolingConfig
@@ -136,17 +136,16 @@ class RunConfig:
         if config_path:
             if not os.path.exists(config_path):
                 raise ConfigError(f"config file not found: {config_path}")
-            with open(config_path, encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle, start=1):
-                    stripped = line.split("#", 1)[0].strip()
-                    if not stripped:
-                        continue
-                    if "=" not in stripped:
-                        raise ConfigError(f"{config_path}:{line_no}: expected key = value")
-                    key, raw = (part.strip() for part in stripped.split("=", 1))
-                    if key not in DEFAULTS:
-                        raise ConfigError(f"{config_path}:{line_no}: unknown config key {key!r}")
-                    cfg.values[key] = _coerce(key, raw)
+            for line_no, line in text_lines(config_path, ConfigError):
+                stripped = line.split("#", 1)[0].strip()
+                if not stripped:
+                    continue
+                if "=" not in stripped:
+                    raise ConfigError(f"{config_path}:{line_no}: expected key = value")
+                key, raw = (part.strip() for part in stripped.split("=", 1))
+                if key not in DEFAULTS:
+                    raise ConfigError(f"{config_path}:{line_no}: unknown config key {key!r}")
+                cfg.values[key] = _coerce(key, raw)
         for item in overrides or []:
             if "=" not in item:
                 raise ConfigError(f"override {item!r} must be key=value")

@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,6 +41,11 @@ MERGE_CAP_S = 15.0
 # -- manifest records --------------------------------------------------------
 
 
+# Manifest line fields beyond the required id, frames, frame_rate_hz and label.
+_OPTIONAL_FIELDS = ("features_path", "split", "arousal", "valence", "dominance", "language",
+                    "prev_label")
+
+
 @dataclass
 class ManifestRecord:
     id: str
@@ -59,6 +64,8 @@ class ManifestRecord:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise DataError(f"record id must be a non-empty string, got {self.id!r}")
+        if not isinstance(self.features_path, str):
+            raise DataError(f"record {self.id}: features_path must be a string")
         if not (math.isfinite(self.frame_rate_hz) and self.frame_rate_hz > 0):
             raise DataError(f"record {self.id}: frame_rate_hz={self.frame_rate_hz} is not a "
                             f"finite positive rate")
@@ -93,71 +100,75 @@ class ManifestRecord:
         return os.path.join(self.base_dir, self.features_path)
 
     def to_json(self) -> str:
-        payload = {
-            "id": self.id,
-            "features_path": self.features_path,
-            "frames": self.frames,
-            "frame_rate_hz": self.frame_rate_hz,
-            "label": self.label,
-            "split": self.split,
-        }
-        for key in ("arousal", "valence", "dominance", "language", "prev_label"):
-            value = getattr(self, key)
-            if value is not None:
-                payload[key] = value
+        keys = ("id", "frames", "frame_rate_hz", "label") + _OPTIONAL_FIELDS
+        payload = {key: getattr(self, key) for key in keys if getattr(self, key) is not None}
         return json.dumps(payload, sort_keys=True)
 
     @staticmethod
-    def from_json(line: str, base_dir: Optional[str] = None) -> "ManifestRecord":
+    def from_dict(obj: dict, base_dir: Optional[str] = None) -> "ManifestRecord":
+        optional = {key: obj[key] for key in _OPTIONAL_FIELDS if key in obj}
+        return ManifestRecord(id=obj["id"], frames=int(obj["frames"]),
+                              frame_rate_hz=float(obj["frame_rate_hz"]), label=obj["label"],
+                              base_dir=base_dir, **{"features_path": "", **optional})
+
+
+def text_lines(path: str, error=DataError):
+    """(line number, text) for each line of a UTF-8 file.
+
+    A line that does not decode raises `error` naming `path:line`.
+    """
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                message = f"{path}:{line_no}: not UTF-8 ({exc.reason} at byte {exc.start})"
+                raise error(message) from None
+            yield line_no, line
+
+
+def _read_jsonl(path: str, what: str, parse: Callable, key: Optional[Callable] = None) -> list:
+    """`parse(obj)` for every line of a JSONL file, each line one JSON object.
+
+    Blank lines are skipped. With `key`, two rows with the same `key(row)`
+    are an error. A missing or empty file, bytes that are not UTF-8, bad
+    JSON, a line that is not an object, a duplicate and any KeyError,
+    TypeError, ValueError, ArithmeticError or DataError from `parse` all
+    raise one DataError naming `path:line`.
+    """
+    if not os.path.exists(path):
+        raise DataError(f"{what} not found: {path}")
+    rows = []
+    seen = set()
+    for line_no, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed manifest line: {exc}") from None
-        if not isinstance(payload, dict):
-            raise DataError(f"manifest line is not a JSON object: {line[:40]!r}")
-        try:
-            return ManifestRecord(
-                id=payload["id"],
-                features_path=payload.get("features_path", ""),
-                frames=int(payload["frames"]),
-                frame_rate_hz=float(payload["frame_rate_hz"]),
-                label=payload["label"],
-                arousal=payload.get("arousal"),
-                valence=payload.get("valence"),
-                dominance=payload.get("dominance"),
-                split=payload.get("split", "train"),
-                language=payload.get("language"),
-                prev_label=payload.get("prev_label"),
-                base_dir=base_dir,
-            )
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise DataError(f"line is not a JSON object: {line[:40]!r}")
+            row = parse(obj)
+            if key is not None:
+                if key(row) in seen:
+                    raise DataError(f"duplicate id {key(row)!r}")
+                seen.add(key(row))
+            rows.append(row)
         except KeyError as exc:
-            raise DataError(f"manifest line missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"bad value in manifest line ({exc})") from None
+            raise DataError(f"{path}:{line_no}: missing field {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+        except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+            raise DataError(f"{path}:{line_no}: bad {what} line ({exc})") from None
+    if not rows:
+        raise DataError(f"{what} is empty: {path}")
+    return rows
 
 
 def read_manifest(path: str) -> list:
-    if not os.path.exists(path):
-        raise DataError(f"manifest not found: {path}")
     base_dir = os.path.dirname(os.path.abspath(path))
-    records = []
-    seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = ManifestRecord.from_json(line, base_dir=base_dir)
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from None
-            if record.id in seen:
-                raise DataError(f"duplicate utterance id {record.id!r} in {path}")
-            seen.add(record.id)
-            records.append(record)
-    if not records:
-        raise DataError(f"manifest is empty: {path}")
-    return records
+    return _read_jsonl(path, "manifest", lambda obj: ManifestRecord.from_dict(obj, base_dir),
+                       key=lambda record: record.id)
 
 
 def write_manifest(path: str, records) -> None:
@@ -195,9 +206,13 @@ def read_features(path: str) -> np.ndarray:
         version, frames, dim = struct.unpack("<III", header)
         if version != FEATURE_VERSION:
             raise DataError(f"unsupported feature file version {version} in {path}")
-        payload = handle.read(frames * dim * 4)
-        if len(payload) != frames * dim * 4:
-            raise DataError(f"truncated feature file {path}")
+        size = frames * dim * 4
+        stored = os.fstat(handle.fileno()).st_size - 16
+        if stored != size:
+            kind = "truncated" if stored < size else "overlong"
+            raise DataError(f"{kind} feature file {path}: header claims {frames} x {dim} "
+                            f"float32 values, payload is {stored} bytes")
+        payload = handle.read(size)
     return np.frombuffer(payload, dtype="<f4").reshape(frames, dim).astype(np.float64)
 
 
@@ -228,14 +243,15 @@ class FeatureStore:
 # -- windowed consensus pseudo-labeling ---------------------------------------
 
 
+# Lowercase predictor names of the six non-neutral emotions.
+EMOTIONAL_NAMES = frozenset(label.name.lower() for label in EMOTIONAL_SET)
+
+
 @dataclass
 class ConsensusConfig:
     window_s: float = 4.0
     hop_s: float = 2.0
     min_emotional_fraction: float = 0.25
-    emotional_set: frozenset = field(
-        default_factory=lambda: frozenset(label.name.lower() for label in EMOTIONAL_SET)
-    )
 
     def __post_init__(self):
         if self.hop_s <= 0 or self.window_s <= 0 or self.hop_s > self.window_s:
@@ -246,21 +262,6 @@ class ConsensusConfig:
             raise ConfigError(
                 f"min_emotional_fraction must be in (0, 1], got {self.min_emotional_fraction}"
             )
-
-
-@dataclass
-class WindowPrediction:
-    """One 4 s window with both predictors' 9-class outputs."""
-
-    utterance_id: str
-    window_start_s: float
-    window_end_s: float
-    label_a: str
-    label_b: str
-
-    def __post_init__(self):
-        self.label_a = parse_predictor_label(self.label_a)
-        self.label_b = parse_predictor_label(self.label_b)
 
 
 def window_split(duration_s: float, cfg: ConsensusConfig) -> list:
@@ -288,7 +289,7 @@ def consensus_label(a: str, b: str, cfg: ConsensusConfig | None = None) -> Emoti
     cfg = cfg or ConsensusConfig()
     a = parse_predictor_label(a)
     b = parse_predictor_label(b)
-    if a == b and a in cfg.emotional_set:
+    if a == b and a in EMOTIONAL_NAMES:
         return EmotionLabel.from_name(a)
     return EmotionLabel.NEUTRAL
 
@@ -296,7 +297,6 @@ def consensus_label(a: str, b: str, cfg: ConsensusConfig | None = None) -> Emoti
 @dataclass
 class PseudoLabel:
     label: EmotionLabel
-    keep: bool
     emotional_fraction: float
 
 
@@ -313,76 +313,49 @@ def utterance_pseudo_label(window_labels: list, cfg: ConsensusConfig) -> PseudoL
     emotional = [(label, counts[label]) for label in EMOTIONS
                  if label != EmotionLabel.NEUTRAL and counts[label] > 0]
     if not emotional:
-        return PseudoLabel(EmotionLabel.NEUTRAL, True, 0.0)
+        return PseudoLabel(EmotionLabel.NEUTRAL, 0.0)
     modal_label, modal_count = max(emotional, key=lambda item: (item[1], -int(item[0])))
     fraction = modal_count / len(window_labels)
     if fraction >= cfg.min_emotional_fraction:
-        return PseudoLabel(modal_label, True, fraction)
-    return PseudoLabel(EmotionLabel.NEUTRAL, True, fraction)
+        return PseudoLabel(modal_label, fraction)
+    return PseudoLabel(EmotionLabel.NEUTRAL, fraction)
+
+
+def _window_prediction(obj: dict) -> tuple:
+    """One line of a per-predictor JSONL: utterance_id, window_start_s, window_end_s, label."""
+    if not isinstance(obj["utterance_id"], str):
+        raise DataError(f"utterance_id must be a string, got {obj['utterance_id']!r}")
+    window = (float(obj["window_start_s"]), float(obj["window_end_s"]))
+    return obj["utterance_id"], window, parse_predictor_label(obj["label"])
 
 
 def _read_window_predictions(path: str) -> dict:
-    """Per-predictor JSONL: utterance_id, window_start_s, window_end_s, label."""
-    if not os.path.exists(path):
-        raise DataError(f"prediction file not found: {path}")
     by_utterance: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                utt = payload["utterance_id"]
-                window = (float(payload["window_start_s"]), float(payload["window_end_s"]))
-                label = payload["label"]
-                by_utterance.setdefault(utt, {})[window] = label
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{line_no}: bad window prediction ({exc})") from None
-    if not by_utterance:
-        raise DataError(f"prediction file is empty: {path}")
+    for utt, window, label in _read_jsonl(path, "prediction file", _window_prediction):
+        by_utterance.setdefault(utt, {})[window] = label
     return by_utterance
 
 
-def _read_durations(path: str) -> list:
-    """JSONL of id + duration_s (or frames + frame_rate_hz), with passthrough fields."""
-    if not os.path.exists(path):
-        raise DataError(f"durations file not found: {path}")
-    rows = []
-    seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                utt = payload["id"]
-                if "duration_s" in payload:
-                    duration = float(payload["duration_s"])
-                    frame_rate = float(payload.get("frame_rate_hz", 100.0))
-                    frames = int(payload.get("frames", round(duration * frame_rate)))
-                elif "frames" in payload and "frame_rate_hz" in payload:
-                    frames = int(payload["frames"])
-                    frame_rate = float(payload["frame_rate_hz"])
-                    duration = frames / frame_rate
-                else:
-                    raise DataError(f"{path}:{line_no}: need duration_s or frames+frame_rate_hz")
-                if utt in seen:
-                    raise DataError(f"{path}:{line_no}: duplicate id {utt!r}")
-            except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-                raise DataError(f"{path}:{line_no}: bad durations line ({exc})") from None
-            seen.add(utt)
-            rows.append({
-                "id": utt, "duration_s": duration, "frames": frames,
-                "frame_rate_hz": frame_rate,
-                "features_path": payload.get("features_path", ""),
-                "split": payload.get("split", "train"),
-                "language": payload.get("language"),
-            })
-    if not rows:
-        raise DataError(f"durations file is empty: {path}")
-    return rows
+def _duration_row(obj: dict) -> tuple:
+    """One line of a durations JSONL: id + duration_s (or frames + frame_rate_hz).
+
+    Returns (record, duration_s); the record's label is a placeholder until
+    the consensus labels it.
+    """
+    if "duration_s" in obj:
+        duration = float(obj["duration_s"])
+        frame_rate = float(obj.get("frame_rate_hz", 100.0))
+        frames = int(obj.get("frames", round(duration * frame_rate)))
+    elif "frames" in obj and "frame_rate_hz" in obj:
+        frames = int(obj["frames"])
+        frame_rate = float(obj["frame_rate_hz"])
+        duration = frames / frame_rate
+    else:
+        raise DataError("need duration_s or frames+frame_rate_hz")
+    record = ManifestRecord(id=obj["id"], features_path=obj.get("features_path", ""),
+                            frames=frames, frame_rate_hz=frame_rate, label="Neutral",
+                            split=obj.get("split", "train"), language=obj.get("language"))
+    return record, duration
 
 
 def pseudo_label_files(pred_a_path: str, pred_b_path: str, durations_path: str,
@@ -395,8 +368,9 @@ def pseudo_label_files(pred_a_path: str, pred_b_path: str, durations_path: str,
     """
     preds_a = _read_window_predictions(pred_a_path)
     preds_b = _read_window_predictions(pred_b_path)
-    durations = _read_durations(durations_path)
-    wanted = {row["id"] for row in durations}
+    durations = _read_jsonl(durations_path, "durations file", _duration_row,
+                            key=lambda row: row[0].id)
+    wanted = {record.id for record, _ in durations}
     missing = sorted((wanted - set(preds_a)) | (wanted - set(preds_b))
                      | (set(preds_a) ^ set(preds_b)))
     if missing:
@@ -406,10 +380,14 @@ def pseudo_label_files(pred_a_path: str, pred_b_path: str, durations_path: str,
     class_counts = {label.canonical_name: 0 for label in EmotionLabel}
     n_windows = 0
     n_neutral_windows = 0
-    for row in durations:
-        utt = row["id"]
+    for record, duration in durations:
+        utt = record.id
+        if duration > cfg.hop_s * (len(preds_a[utt]) + 1) + cfg.window_s:
+            # more windows than the predictions hold; fail before enumerating them
+            raise DataError(f"utterance {utt}: {duration} s is longer than its "
+                            f"{len(preds_a[utt])} predicted windows cover")
         labels = []
-        for start, end in window_split(row["duration_s"], cfg):
+        for start, end in window_split(duration, cfg):
             key = (start, end)
             if key not in preds_a[utt] or key not in preds_b[utt]:
                 raise DataError(
@@ -422,15 +400,7 @@ def pseudo_label_files(pred_a_path: str, pred_b_path: str, durations_path: str,
                 n_neutral_windows += 1
         pseudo = utterance_pseudo_label(labels, cfg)
         class_counts[pseudo.label.canonical_name] += 1
-        records.append(ManifestRecord(
-            id=utt,
-            features_path=row["features_path"],
-            frames=row["frames"],
-            frame_rate_hz=row["frame_rate_hz"],
-            label=pseudo.label.canonical_name,
-            split=row["split"],
-            language=row["language"],
-        ))
+        records.append(replace(record, label=pseudo.label.canonical_name))
     stats = {
         "n_utterances": len(records),
         "n_windows": n_windows,
@@ -514,20 +484,9 @@ def two_pass_relabel(records: list, predict: Callable) -> tuple:
         new_name = label.canonical_name
         if new_name != record.label:
             n_changed += 1
-        relabeled.append(ManifestRecord(
-            id=record.id,
-            features_path=record.features_path,
-            frames=record.frames,
-            frame_rate_hz=record.frame_rate_hz,
-            label=new_name,
-            arousal=float(arousal),
-            valence=float(valence),
-            dominance=float(dominance),
-            split=record.split,
-            language=record.language,
-            prev_label=record.label,
-            base_dir=record.base_dir,
-        ))
+        relabeled.append(replace(record, label=new_name, arousal=float(arousal),
+                                 valence=float(valence), dominance=float(dominance),
+                                 prev_label=record.label))
     stats = {"n_total": len(records), "n_relabeled": len(relabeled),
              "n_changed": n_changed, "n_skipped": n_skipped}
     return relabeled, stats

@@ -47,7 +47,7 @@ PREDICTOR_LABELS = frozenset(
 
 def parse_predictor_label(name: str) -> str:
     """Validate a 9-class predictor label, returning its lowercase form."""
-    cleaned = name.strip().lower()
+    cleaned = name.strip().lower() if isinstance(name, str) else None
     if cleaned not in PREDICTOR_LABELS:
         raise DataError(f"unknown predictor label {name!r}")
     return cleaned

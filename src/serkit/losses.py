@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, variance
+from .autodiff import Tensor
 from .errors import ConfigError, DataError, NumericError
 from .labels import NUM_CLASSES
 
@@ -96,8 +96,9 @@ def class_weights_from_counts(counts: np.ndarray) -> np.ndarray:
 
 
 def ccc(y, yhat, eps: float = 1e-8) -> Tensor:
-    """Concordance correlation: 2 cov / (var_y + var_yhat + dmu^2 + eps).
+    """Concordance correlation over axis 0: 2 cov / (var_y + var_yhat + dmu^2 + eps).
 
+    A [n] input gives one value and an [n, k] input one value per column.
     Population (divide-by-n) moments. n=1 collapses to 0 by construction;
     the eps keeps the both-constant-equal-means case at ~0 instead of 0/0.
     """
@@ -107,17 +108,19 @@ def ccc(y, yhat, eps: float = 1e-8) -> Tensor:
         raise DataError("ccc on empty input")
     if y.data.shape != yhat.data.shape:
         raise ConfigError(f"ccc shape mismatch {y.data.shape} vs {yhat.data.shape}")
-    mu_y = y.mean()
-    mu_p = yhat.mean()
-    cov = ((y - mu_y) * (yhat - mu_p)).mean()
-    denom = variance(y) + variance(yhat) + (mu_y - mu_p) ** 2.0 + eps
+    mu_y = y.mean(axis=0)
+    mu_p = yhat.mean(axis=0)
+    dy = y - mu_y
+    dp = yhat - mu_p
+    cov = (dy * dp).mean(axis=0)
+    denom = (dy * dy).mean(axis=0) + (dp * dp).mean(axis=0) + (mu_y - mu_p) ** 2.0 + eps
     return (2.0 * cov) / denom
 
 
 def ccc_loss_multi(targets: DimTargets, preds: Tensor, eps: float = 1e-8) -> Tensor:
     """Mean over {arousal, valence, dominance} of (1 - CCC_dim) across the batch.
 
-    Dimensions with fewer than two unmasked samples contribute 0 (warned).
+    With fewer than two unmasked samples the loss is 0 (warned).
     """
     if preds.data.ndim != 2 or preds.data.shape[1] != 3:
         raise ConfigError(f"dim predictions must be [batch, 3], got {preds.data.shape}")
@@ -127,13 +130,7 @@ def ccc_loss_multi(targets: DimTargets, preds: Tensor, eps: float = 1e-8) -> Ten
     if idx.size < 2:
         log.warning("ccc loss skipped: %d unmasked samples (< 2)", idx.size)
         return Tensor(0.0)
-    total = Tensor(0.0)
-    for dim in range(3):
-        col = preds[:, dim]
-        selected = col.gather_rows(idx) if idx.size != preds.data.shape[0] else col
-        target_col = targets.values[idx, dim]
-        total = total + (1.0 - ccc(target_col, selected, eps=eps))
-    return total / 3.0
+    return (1.0 - ccc(targets.values[idx], preds[idx], eps=eps)).mean()
 
 
 def total_loss(ce: Tensor, cccl: Tensor, cfg: LossConfig) -> Tensor:

@@ -98,14 +98,13 @@ class AdamWGroups:
                 self._m[name] = np.zeros_like(tensor.data)
                 self._v[name] = np.zeros_like(tensor.data)
 
-    def step(self, lr_scale_backbone: float = 1.0, lr_scale_downstream: float = 1.0):
-        """One update; missing gradients are treated as zeros."""
+    def step(self, lr_scale: float = 1.0):
+        """One update with every group's rate times `lr_scale`; missing gradients count as zeros."""
         self.t += 1
         bc1 = 1.0 - self.cfg.beta1 ** self.t
         bc2 = 1.0 - self.cfg.beta2 ** self.t
-        scales = (lr_scale_backbone, lr_scale_downstream)
-        for group, scale in zip(self.groups, scales):
-            lr = group["lr"] * scale
+        for group in self.groups:
+            lr = group["lr"] * lr_scale
             wd = group["wd"]
             for name, tensor in group["params"].items():
                 grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
@@ -121,6 +120,5 @@ class AdamWGroups:
                     tensor.data *= 1.0 - lr * wd
                 tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.cfg.eps)
 
-    def learning_rates(self, lr_scale_backbone: float = 1.0, lr_scale_downstream: float = 1.0):
-        return (self.groups[0]["lr"] * lr_scale_backbone,
-                self.groups[1]["lr"] * lr_scale_downstream)
+    def learning_rates(self, lr_scale: float = 1.0):
+        return tuple(group["lr"] * lr_scale for group in self.groups)

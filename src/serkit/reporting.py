@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 
+from .datapipe import text_lines
 from .errors import DataError
 from .evaluation import EvalReport
 
@@ -35,22 +36,22 @@ def read_report_csv(path: str) -> dict:
     if not os.path.exists(path):
         raise DataError(f"report not found: {path}")
     metrics = {}
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != "metric,value":
-            raise DataError(f"{path}:1: expected header 'metric,value', got {header!r}")
-        for line_no, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{line_no}: expected 'metric,value'")
-            name, raw = parts
-            try:
-                metrics[name] = float(raw)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: bad value {raw!r}") from None
+    for line_no, line in text_lines(path):
+        line = line.strip()
+        if line_no == 1:
+            if line != "metric,value":
+                raise DataError(f"{path}:1: expected header 'metric,value', got {line!r}")
+            continue
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{line_no}: expected 'metric,value'")
+        name, raw = parts
+        try:
+            metrics[name] = float(raw)
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: bad value {raw!r}") from None
     if not metrics:
         raise DataError(f"report is empty: {path}")
     return metrics

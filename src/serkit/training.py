@@ -241,8 +241,8 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                 loss.backward()
                 state.global_step += 1
                 scale = cosine_warmup_lr(state.global_step, 1.0, schedule)
-                optimizer.step(lr_scale_backbone=scale, lr_scale_downstream=scale)
-                lr_b, lr_d = optimizer.learning_rates(scale, scale)
+                optimizer.step(scale)
+                lr_b, lr_d = optimizer.learning_rates(scale)
                 train_log.write(
                     f"{state.global_step},{epoch},{lr_b:.17g},{lr_d:.17g},"
                     f"{loss.item():.17g},{ce.item():.17g},{cccl.item():.17g}\n"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from serkit.cli import main
-from serkit.datapipe import read_manifest
+from serkit.datapipe import ConsensusConfig, read_manifest, window_split
 
 TINY_CONFIG = """\
 # compact geometry for fast CLI tests
@@ -193,8 +193,6 @@ def write_durations(path, rows):
 
 class TestPseudolabelCommand:
     def _windows(self, duration):
-        from serkit.datapipe import ConsensusConfig, window_split
-
         return window_split(duration, ConsensusConfig())
 
     def test_always_agree_angry(self, tmp_path):
@@ -340,6 +338,69 @@ class TestReportCommand:
         rc = main(["report", "--in", path, "--svg", str(tmp_path / "x.svg")])
         assert rc == 2
         assert ":3" in capsys.readouterr().err  # line number in message
+
+
+class TestMalformedInputs:
+    """Each broken input exits with its documented code and one `error:` line."""
+
+    @staticmethod
+    def _one_error_line(capsys, kind):
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith(f"error: {kind}: "), err_lines
+        return err_lines[0]
+
+    def _train(self, tmp_path, datasets, tiny_config, **paths):
+        args = {"config": tiny_config, "train": datasets["train"], "dev": datasets["dev"]}
+        args.update(paths)
+        return main(["train", "--config", args["config"], "--train", args["train"],
+                     "--dev", args["dev"], "--out", str(tmp_path / "run"), "--seed", "1"])
+
+    @pytest.mark.parametrize("line", [
+        b'{"id": "u\xff", "frames": 4, "frame_rate_hz": 8.0, "label": "Happy"}',
+        b'{"id": "u", "frames": Infinity, "frame_rate_hz": 8.0, "label": "Happy"}',
+    ], ids=["not-utf8", "infinity"])
+    def test_manifest_exit_2(self, tmp_path, datasets, tiny_config, capsys, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(open(datasets["train"], "rb").readline() + line + b"\n")
+        assert self._train(tmp_path, datasets, tiny_config, train=str(bad)) == 2
+        assert "bad.jsonl:2: " in self._one_error_line(capsys, "data")
+
+    def test_feature_header_claiming_2_32_frames_exit_2(self, tmp_path, datasets, tiny_config,
+                                                         capsys):
+        record = read_manifest(datasets["train"])[0]
+        with open(record.resolved_features_path(), "r+b") as handle:
+            handle.seek(8)
+            handle.write((2**32 - 1).to_bytes(4, "little"))
+        assert self._train(tmp_path, datasets, tiny_config) == 2
+        assert "header claims 4294967295 x" in self._one_error_line(capsys, "data")
+
+    def test_config_not_utf8_exit_1(self, tmp_path, datasets, tiny_config, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(open(tiny_config, "rb").read() + b"train.epochs = \xe9\n")
+        assert self._train(tmp_path, datasets, tiny_config, config=str(bad)) == 1
+        line_no = TINY_CONFIG.count("\n") + 1
+        assert f"bad.cfg:{line_no}: not UTF-8" in self._one_error_line(capsys, "config")
+
+    @pytest.mark.parametrize("which", ["a", "b", "d"])
+    def test_pseudolabel_inputs_not_utf8_exit_2(self, tmp_path, capsys, which):
+        windows = window_split(4.0, ConsensusConfig())
+        write_predictions(tmp_path / "a.jsonl", [("u1", s, e, "angry") for s, e in windows])
+        write_predictions(tmp_path / "b.jsonl", [("u1", s, e, "angry") for s, e in windows])
+        write_durations(tmp_path / "d.jsonl", [("u1", 4.0)])
+        with open(tmp_path / f"{which}.jsonl", "ab") as handle:
+            handle.write(b"\xc3\x28\n")
+        rc = main(["pseudolabel", "--pred-a", str(tmp_path / "a.jsonl"),
+                   "--pred-b", str(tmp_path / "b.jsonl"),
+                   "--durations", str(tmp_path / "d.jsonl"),
+                   "--out", str(tmp_path / "p.jsonl")])
+        assert rc == 2
+        assert f"{which}.jsonl:2: not UTF-8" in self._one_error_line(capsys, "data")
+
+    def test_report_csv_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"metric,value\nuar_7,0.5\nuar_\xff,0.25\n")
+        assert main(["report", "--in", str(path), "--svg", str(tmp_path / "x.svg")]) == 2
+        assert "bad.csv:3: not UTF-8" in self._one_error_line(capsys, "data")
 
 
 class TestLogging:

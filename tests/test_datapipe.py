@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from serkit.datapipe import (
+    _read_window_predictions,
     ConsensusConfig,
     ManifestRecord,
-    WindowPrediction,
     consensus_label,
     load_record_features,
     majority_vote,
@@ -96,13 +96,17 @@ class TestConsensus:
         with pytest.raises(DataError):
             parse_predictor_label("meh")
 
-    def test_window_prediction_normalizes_and_validates(self):
-        pred = WindowPrediction(utterance_id="u1", window_start_s=0.0,
-                                window_end_s=4.0, label_a="Angry ", label_b="OTHER")
-        assert pred.label_a == "angry" and pred.label_b == "other"
-        with pytest.raises(DataError):
-            WindowPrediction(utterance_id="u1", window_start_s=0.0,
-                             window_end_s=4.0, label_a="angry", label_b="rage")
+    def test_window_prediction_normalizes_and_validates(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        line = {"utterance_id": "u1", "window_start_s": 0, "window_end_s": 4}
+        path.write_text(json.dumps(dict(line, label="Angry ")) + "\n"
+                        + json.dumps(dict(line, window_start_s=2, label="OTHER")) + "\n")
+        assert _read_window_predictions(str(path)) == {
+            "u1": {(0.0, 4.0): "angry", (2.0, 4.0): "other"}}
+        for label in ("rage", 3):
+            path.write_text(json.dumps(dict(line, label=label)) + "\n")
+            with pytest.raises(DataError, match="a.jsonl:1"):
+                _read_window_predictions(str(path))
 
 
 class TestUtterancePseudoLabel:
@@ -110,19 +114,19 @@ class TestUtterancePseudoLabel:
         labels = [EmotionLabel.ANGRY, EmotionLabel.ANGRY, EmotionLabel.NEUTRAL,
                   EmotionLabel.ANGRY]
         out = utterance_pseudo_label(labels, cfg)
-        assert out.label == EmotionLabel.ANGRY and out.keep
+        assert out.label == EmotionLabel.ANGRY
         assert out.emotional_fraction == pytest.approx(0.75)
 
     def test_all_neutral(self, cfg):
         out = utterance_pseudo_label([EmotionLabel.NEUTRAL] * 5, cfg)
-        assert out.label == EmotionLabel.NEUTRAL and out.keep
+        assert out.label == EmotionLabel.NEUTRAL
         assert out.emotional_fraction == 0.0
 
     def test_below_threshold_falls_back(self, cfg):
         labels = ([EmotionLabel.HAPPY] + [EmotionLabel.SAD]
                   + [EmotionLabel.NEUTRAL] * 6)
         out = utterance_pseudo_label(labels, cfg)
-        assert out.label == EmotionLabel.NEUTRAL and out.keep
+        assert out.label == EmotionLabel.NEUTRAL
         assert out.emotional_fraction == pytest.approx(0.125)
 
     def test_tie_breaks_by_canonical_order(self, cfg):

@@ -123,7 +123,7 @@ class TestLora:
             model.zero_grad()
             out = model.forward(features)
             (out.cat_probs * out.cat_probs).sum().backward()
-            opt.step(lr_scale_backbone=1.0, lr_scale_downstream=1.0)
+            opt.step(lr_scale=1.0)
         for name, original in frozen_before.items():
             assert np.array_equal(model.params[name].data, original), name
 

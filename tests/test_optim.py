@@ -122,7 +122,7 @@ class TestAdamWGroups:
         cfg = OptimizerConfig(downstream_lr=1e-2, downstream_weight_decay=0.0)
         opt = AdamWGroups({}, params, cfg)
         params["p0"].grad = np.array([1.0])
-        opt.step(lr_scale_downstream=0.5)
+        opt.step(lr_scale=0.5)
         assert abs(1.0 - params["p0"].data[0]) == pytest.approx(5e-3, rel=1e-5)
 
     def test_nan_gradient_aborts_naming_param(self):
