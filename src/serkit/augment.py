@@ -48,13 +48,13 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.mixup_prob <= 1.0:
             raise ConfigError(f"mixup_prob must be in [0, 1], got {self.mixup_prob}")
-        if self.mixup_alpha <= 0:
-            raise ConfigError(f"mixup_alpha must be > 0, got {self.mixup_alpha}")
+        if not 0 < self.mixup_alpha < math.inf:
+            raise ConfigError(f"mixup_alpha must be finite and > 0, got {self.mixup_alpha}")
         lo, hi = self.noise_snr_db
-        if hi < lo:
-            raise ConfigError(f"empty SNR range [{lo}, {hi}]")
-        if any(f <= 0 for f in self.speed_factors):
-            raise ConfigError(f"speed factors must be > 0, got {self.speed_factors}")
+        if not -math.inf < lo <= hi < math.inf:
+            raise ConfigError(f"SNR range [{lo}, {hi}] must be finite and non-empty")
+        if not all(0 < f < math.inf for f in self.speed_factors):
+            raise ConfigError(f"speed factors must be finite and > 0, got {self.speed_factors}")
 
 
 # -- noise sources -----------------------------------------------------------

@@ -284,9 +284,8 @@ def window_split(duration_s: float, cfg: ConsensusConfig) -> list:
     return windows
 
 
-def consensus_label(a: str, b: str, cfg: ConsensusConfig | None = None) -> EmotionLabel:
+def consensus_label(a: str, b: str) -> EmotionLabel:
     """Identical predictions inside the six-emotion set win; everything else is Neutral."""
-    cfg = cfg or ConsensusConfig()
     a = parse_predictor_label(a)
     b = parse_predictor_label(b)
     if a == b and a in EMOTIONAL_NAMES:
@@ -393,7 +392,7 @@ def pseudo_label_files(pred_a_path: str, pred_b_path: str, durations_path: str,
                 raise DataError(
                     f"utterance {utt}: window ({start}, {end}) missing from predictions"
                 )
-            label = consensus_label(preds_a[utt][key], preds_b[utt][key], cfg)
+            label = consensus_label(preds_a[utt][key], preds_b[utt][key])
             labels.append(label)
             n_windows += 1
             if label == EmotionLabel.NEUTRAL:
@@ -419,7 +418,7 @@ def merge_segments(segments: list, cap_s: float = MERGE_CAP_S) -> list:
     Runs longer than the cap split exactly at cap boundaries, so total
     covered duration is conserved and no output segment exceeds cap_s.
     """
-    if cap_s <= 0:
+    if not cap_s > 0:
         raise ConfigError(f"merge cap must be > 0, got {cap_s}")
     if not segments:
         return []

@@ -19,7 +19,7 @@ from .autodiff import Tensor
 from .datapipe import MERGE_CAP_S, FeatureStore, merge_segments
 from .errors import DataError
 from .labels import NUM_CLASSES, EmotionLabel
-from .model import DimScores, ModelOutput
+from .model import ModelOutput
 
 log = logging.getLogger("serkit.evaluation")
 
@@ -43,10 +43,6 @@ class ConfusionMatrix:
         self.counts[int(ref), int(hyp)] += 1
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        self.counts += other.counts
-        return self
-
     @property
     def n_scored(self) -> int:
         return int(self.counts.sum())
@@ -67,20 +63,16 @@ def uar(cm: ConfusionMatrix, class_subset=None) -> float:
     predictions land in the full 7-way column space, so out-of-subset
     predictions count against their reference class.
     """
-    classes = range(NUM_CLASSES) if class_subset is None else sorted(int(c) for c in class_subset)
-    support = cm.counts.sum(axis=1)
-    recalls = []
-    excluded = []
-    for c in classes:
-        if support[c] > 0:
-            recalls.append(cm.counts[c, c] / support[c])
-        else:
-            excluded.append(EmotionLabel(c).canonical_name)
-    if not recalls:
+    classes = list(range(NUM_CLASSES)) if class_subset is None else sorted(
+        int(c) for c in class_subset)
+    recall = per_class_recall(cm)[classes]
+    supported = ~np.isnan(recall)
+    if not supported.any():
         raise DataError("UAR undefined: no class in the subset has support")
+    excluded = [EmotionLabel(c).canonical_name for c, ok in zip(classes, supported) if not ok]
     if excluded:
         log.info("UAR excludes zero-support classes: %s", ", ".join(excluded))
-    return float(np.mean(recalls))
+    return float(np.mean(recall[supported]))
 
 
 def weighted_accuracy(cm: ConfusionMatrix) -> float:
@@ -143,10 +135,8 @@ def ensemble_predict(models: list, features) -> ModelOutput:
         dims += out.dim_tensor.data
     probs /= len(models)
     dims /= len(models)
-    a, v, d = (float(x) for x in dims)
     return ModelOutput(cat_logits=Tensor(np.log(np.maximum(probs, 1e-300))),
-                       cat_probs=Tensor(probs), dim_tensor=Tensor(dims),
-                       dims=DimScores(arousal=a, valence=v, dominance=d))
+                       cat_probs=Tensor(probs), dim_tensor=Tensor(dims))
 
 
 # -- manifest-level evaluation ---------------------------------------------------
@@ -194,57 +184,44 @@ def evaluate_manifest(models: list, records: list, granularity: str = "fine",
                       store: Optional[FeatureStore] = None) -> EvalReport:
     """Score a manifest with an ensemble at fine or merged granularity.
 
-    Merged granularity treats the manifest order as a contiguous timeline,
-    merges consecutive equal-label segments up to merge_cap_s seconds, and
-    scores one duration-weighted averaged prediction per merged segment.
+    The manifest order is a contiguous timeline of records. Each scored
+    segment's prediction (and dimensional reference) is the overlap-weighted
+    mean over the records it covers. Fine granularity scores one segment per
+    record; merged granularity merges consecutive equal-label records up to
+    merge_cap_s seconds. A segment enters the CCC only when every record it
+    covers has dimensional labels.
     """
     if granularity not in ("fine", "merged"):
         raise DataError(f"unknown granularity {granularity!r}")
     store = store or FeatureStore()
-    per_record = []
-    for record in records:
-        out = ensemble_predict(models, store.get(record))
-        per_record.append((record, out.cat_probs.data, out.dim_tensor.data))
+    outs = [ensemble_predict(models, store.get(record)) for record in records]
+    probs = np.array([out.cat_probs.data for out in outs])
+    dims = np.array([out.dim_tensor.data for out in outs])
+    refs = np.array([record.dim_array() for record in records])
+    has_dims = np.array([record.has_dims for record in records])
+    edges = np.concatenate(([0.0], np.cumsum([record.duration_s for record in records])))
+    bounds = edges.tolist()
+    segments = [(start, end, record.label_index)
+                for start, end, record in zip(bounds, bounds[1:], records)]
+    if granularity == "merged":
+        segments = merge_segments(segments, cap_s=merge_cap_s)
 
     cm = ConfusionMatrix()
     dim_refs = []
     dim_preds = []
-    if granularity == "fine":
-        for record, probs, dims in per_record:
-            cm.accumulate(record.label_index, int(np.argmax(probs)))
-            if record.has_dims:
-                dim_refs.append(record.dim_array())
-                dim_preds.append(dims)
-    else:
-        cursor = 0.0
-        segments = []
-        spans = []
-        for record, probs, dims in per_record:
-            segments.append((cursor, cursor + record.duration_s, record.label_index))
-            spans.append((cursor, cursor + record.duration_s, record, probs, dims))
-            cursor += record.duration_s
-        for start, end, label in merge_segments(segments, cap_s=merge_cap_s):
-            probs = np.zeros(NUM_CLASSES)
-            dims = np.zeros(3)
-            ref_dims = np.zeros(3)
-            weight = 0.0
-            all_dims = True
-            for s_start, s_end, record, s_probs, s_dims in spans:
-                overlap = min(end, s_end) - max(start, s_start)
-                if overlap <= 1e-12:
-                    continue
-                probs += overlap * s_probs
-                dims += overlap * s_dims
-                if record.has_dims:
-                    ref_dims += overlap * record.dim_array()
-                else:
-                    all_dims = False
-                weight += overlap
-            probs /= weight
-            cm.accumulate(label, int(np.argmax(probs)))
-            if all_dims and weight > 0:
-                dim_refs.append(ref_dims / weight)
-                dim_preds.append(dims / weight)
+    for start, end, label in segments:
+        rows = np.arange(np.searchsorted(edges, start, side="right") - 1,
+                         np.searchsorted(edges, end, side="left"))
+        overlap = np.minimum(end, edges[rows + 1]) - np.maximum(start, edges[rows])
+        keep = overlap > 1e-12
+        if not keep.any():
+            raise DataError(f"segment ({start}, {end}) s overlaps no record by more than "
+                            f"1e-12 s: is a record's frames / frame_rate_hz that short?")
+        rows, w = rows[keep], overlap[keep] / overlap[keep].sum()
+        cm.accumulate(label, int(np.argmax(w @ probs[rows])))
+        if has_dims[rows].all():
+            dim_refs.append(w @ refs[rows])
+            dim_preds.append(w @ dims[rows])
 
     ccc_vals = (None, None, None)
     if len(dim_refs) >= 2:

@@ -33,7 +33,7 @@ class LossConfig:
     eps_ccc: float = 1e-8
 
     def __post_init__(self):
-        if self.lambda_cat < 0 or self.lambda_dim < 0:
+        if not (self.lambda_cat >= 0 and self.lambda_dim >= 0):
             raise ConfigError("loss lambdas must be >= 0")
         if not 0.0 <= self.epsilon_smooth < 1.0:
             raise ConfigError(f"label smoothing epsilon must be in [0, 1), got {self.epsilon_smooth}")

@@ -42,6 +42,13 @@ from .labels import NUM_CLASSES
 # -- configuration ---------------------------------------------------------
 
 
+def _check_sizes(what: str, cfg, *names: str) -> None:
+    """Each named field of `cfg` must be a size >= 1."""
+    for name in names:
+        if not getattr(cfg, name) >= 1:
+            raise ConfigError(f"{what} {name} must be >= 1, got {getattr(cfg, name)}")
+
+
 @dataclass
 class EncoderStubConfig:
     num_layers: int = 2
@@ -50,12 +57,11 @@ class EncoderStubConfig:
     ff_dim: int = 64
 
     def __post_init__(self):
+        _check_sizes("encoder", self, "num_layers", "model_dim", "num_heads", "ff_dim")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError(
                 f"encoder model_dim {self.model_dim} not divisible by {self.num_heads} heads"
             )
-        if self.num_layers < 1:
-            raise ConfigError("encoder needs at least one layer")
 
 
 @dataclass
@@ -83,6 +89,7 @@ class PoolingConfig:
             raise ConfigError("pooling scales must start with 1")
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ConfigError(f"pooling scales must be strictly increasing, got {self.scales}")
+        _check_sizes("pooling", self, "attention_hidden")
 
 
 @dataclass
@@ -98,6 +105,10 @@ class EcapaConfig:
 
     def __post_init__(self):
         self.dilations = tuple(int(d) for d in self.dilations)
+        _check_sizes("ECAPA", self, "channels", "res2_scale", "gn_groups", "se_bottleneck",
+                     "kernel_size", "stats_attention_hidden")
+        if not self.dilations or min(self.dilations) < 1:
+            raise ConfigError(f"ECAPA dilations must be values >= 1, got {self.dilations}")
         if self.channels % self.gn_groups != 0:
             raise ConfigError(
                 f"ECAPA channels {self.channels} not divisible by {self.gn_groups} GroupNorm groups"
@@ -108,7 +119,7 @@ class EcapaConfig:
             )
         if self.kernel_size % 2 != 1:
             raise ConfigError(f"ECAPA kernel size must be odd, got {self.kernel_size}")
-        if self.gn_eps <= 0:
+        if not self.gn_eps > 0:
             raise ConfigError("GroupNorm eps must be > 0")
 
 
@@ -121,18 +132,11 @@ class ModelConfig:
     pooling: PoolingConfig = field(default_factory=PoolingConfig)
     ecapa: EcapaConfig = field(default_factory=EcapaConfig)
 
+    def __post_init__(self):
+        _check_sizes("model", self, "feature_dim")
+
 
 # -- outputs ---------------------------------------------------------------
-
-
-@dataclass
-class DimScores:
-    arousal: float
-    valence: float
-    dominance: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.arousal, self.valence, self.dominance])
 
 
 @dataclass
@@ -140,7 +144,6 @@ class ModelOutput:
     cat_logits: Tensor          # [7]
     cat_probs: Tensor           # [7], softmax of logits
     dim_tensor: Tensor          # [3] sigmoid scores, kept on the graph
-    dims: DimScores
 
     @property
     def predicted_class(self) -> int:
@@ -158,11 +161,8 @@ class LoraAdapter:
     alpha: float
     A: Tensor                   # [rank, d_in], seeded Gaussian scale 0.02
     B: Tensor                   # [d_out, rank], zero-initialized
-    target: str                 # one of {query, key, value}
 
     def __post_init__(self):
-        if self.target not in ("query", "key", "value"):
-            raise ConfigError(f"LoRA target must be query/key/value, got {self.target!r}")
         if self.A.data.shape[0] != self.rank or self.B.data.shape[1] != self.rank:
             raise ConfigError(
                 f"LoRA rank mismatch: A {self.A.data.shape}, B {self.B.data.shape}, rank {self.rank}"
@@ -335,13 +335,11 @@ class SERModel:
         r = self.cfg.lora.rank
         d = self.cfg.encoder.model_dim
         for i in range(self.cfg.encoder.num_layers):
-            for proj, target in (("q", "query"), ("k", "key"), ("v", "value")):
+            for proj in ("q", "k", "v"):
                 prefix = f"encoder.layer{i}.attn.{proj}"
                 a = self._add(f"{prefix}.lora.A", rng.normal(0.0, 0.02, size=(r, d)), True)
                 b = self._add(f"{prefix}.lora.B", np.zeros((d, r)), True)
-                self.adapters[prefix] = LoraAdapter(
-                    rank=r, alpha=self.cfg.lora.alpha, A=a, B=b, target=target
-                )
+                self.adapters[prefix] = LoraAdapter(rank=r, alpha=self.cfg.lora.alpha, A=a, B=b)
 
     def _conv_init(self, rng, c_out, c_in, k):
         return rng.normal(0.0, 1.0 / math.sqrt(c_in * k), size=(c_out, c_in, k))
@@ -400,9 +398,6 @@ class SERModel:
         self._add("head.dim.bias", np.zeros(3), True)
 
     # -- parameter access --
-
-    def named_parameters(self) -> dict:
-        return dict(self.params)
 
     def trainable_parameters(self) -> dict:
         return {n: t for n, t in self.params.items() if t.requires_grad}
@@ -523,10 +518,6 @@ class SERModel:
         x = self._conv(concat(block_outs, axis=-2), "ecapa.mfa.conv")
         return self._group_norm(x, "ecapa.mfa.gn", mask).relu()
 
-    def _stats_attn_params(self):
-        return (self.params["ecapa.stats.attn.W"], self.params["ecapa.stats.attn.b"],
-                self.params["ecapa.stats.attn.v"])
-
     def _pool_params(self, prefix: str):
         return (self.params[f"{prefix}.W"], self.params[f"{prefix}.b"], self.params[f"{prefix}.v"])
 
@@ -534,7 +525,7 @@ class SERModel:
         """[..., T, D] features -> fixed-size [..., 3C] vector feeding both heads."""
         hidden = self.encoder_forward(features, mask)
         frames = self.ecapa_forward(hidden, mask)            # [..., C, T]
-        stats = attentive_stats_pool(frames, *self._stats_attn_params(), mask=mask)
+        stats = attentive_stats_pool(frames, *self._pool_params("ecapa.stats.attn"), mask=mask)
         summary = multiscale_hierarchical_pool(frames.T, self.cfg.pooling,
                                                self._pool_params("pool.scale_attn"),
                                                self._pool_params("pool.hier_attn"), mask=mask)
@@ -570,11 +561,8 @@ class SERModel:
             raise ShapeError(f"features must be [T, D], got shape {features.data.shape}")
         batch = features.reshape((1,) + features.shape)
         probs, dim_scores, logits = self.forward_batch(batch, [features.shape[0]])
-        dim_scores = dim_scores.reshape(3)
-        a, v, d = (float(x) for x in dim_scores.data)
         return ModelOutput(cat_logits=logits.reshape(NUM_CLASSES),
-                           cat_probs=probs.reshape(NUM_CLASSES), dim_tensor=dim_scores,
-                           dims=DimScores(arousal=a, valence=v, dominance=d))
+                           cat_probs=probs.reshape(NUM_CLASSES), dim_tensor=dim_scores.reshape(3))
 
     # -- LoRA merge --
 

@@ -29,7 +29,7 @@ class OptimizerConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.backbone_lr <= 0 or self.downstream_lr <= 0:
+        if not (self.backbone_lr > 0 and self.downstream_lr > 0):
             raise ConfigError("learning rates must be > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")

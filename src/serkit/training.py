@@ -77,9 +77,6 @@ class TrainState:
             self.epochs_since_improvement += 1
         return self.epochs_since_improvement >= patience
 
-    def selection_history(self) -> list:
-        return [(path, loss) for path, _epoch, loss in self.history]
-
     def summary(self, relative_to: str | None = None) -> dict:
         def rel(path: str) -> str:
             return os.path.relpath(path, relative_to) if relative_to else path

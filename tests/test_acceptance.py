@@ -166,8 +166,7 @@ def test_overfit_capability(tmp_path):
 
         def predict(features):
             out = model.forward(features)
-            return EMOTIONS[out.predicted_class], (out.dims.arousal, out.dims.valence,
-                                                   out.dims.dominance)
+            return EMOTIONS[out.predicted_class], tuple(out.dim_tensor.data.tolist())
 
         relabeled, stats = two_pass_relabel(train, predict)
         assert stats["n_changed"] == 0
@@ -247,7 +246,7 @@ def test_pseudo_label_pipeline():
         for a, b in itertools.product(nine, nine):
             expected = (EmotionLabel.from_name(a) if (a == b and a in six)
                         else EmotionLabel.NEUTRAL)
-            assert consensus_label(a, b, cfg) == expected
+            assert consensus_label(a, b) == expected
 
         assert window_split(10.0, cfg) == [(0.0, 4.0), (2.0, 6.0), (4.0, 8.0), (6.0, 10.0)]
 

@@ -349,11 +349,12 @@ class TestMalformedInputs:
         assert len(err_lines) == 1 and err_lines[0].startswith(f"error: {kind}: "), err_lines
         return err_lines[0]
 
-    def _train(self, tmp_path, datasets, tiny_config, **paths):
+    def _train(self, tmp_path, datasets, tiny_config, *extra, **paths):
         args = {"config": tiny_config, "train": datasets["train"], "dev": datasets["dev"]}
         args.update(paths)
         return main(["train", "--config", args["config"], "--train", args["train"],
-                     "--dev", args["dev"], "--out", str(tmp_path / "run"), "--seed", "1"])
+                     "--dev", args["dev"], "--out", str(tmp_path / "run"), "--seed", "1",
+                     *extra])
 
     @pytest.mark.parametrize("line", [
         b'{"id": "u\xff", "frames": 4, "frame_rate_hz": 8.0, "label": "Happy"}',
@@ -395,6 +396,19 @@ class TestMalformedInputs:
                    "--out", str(tmp_path / "p.jsonl")])
         assert rc == 2
         assert f"{which}.jsonl:2: not UTF-8" in self._one_error_line(capsys, "data")
+
+    @pytest.mark.parametrize("setting", [
+        "model.encoder_heads=0", "model.ecapa_gn_groups=0", "model.ecapa_res2_scale=0",
+        "model.encoder_dim=0", "model.encoder_ff=0", "model.feature_dim=0",
+        "model.ecapa_channels=0", "model.ecapa_se_bottleneck=0", "model.pool_attention_hidden=0",
+        "model.ecapa_stats_attention_hidden=0", "model.ecapa_kernel=-1",
+        "model.ecapa_dilations=0", "augment.speed_factors=nan", "augment.noise_snr_db_min=nan",
+        "augment.mixup_alpha=nan", "optim.backbone_lr=nan", "loss.lambda_dim=nan",
+    ])
+    def test_out_of_range_config_value_exit_1(self, tmp_path, datasets, tiny_config, capsys,
+                                              setting):
+        assert self._train(tmp_path, datasets, tiny_config, "--set", setting) == 1
+        self._one_error_line(capsys, "config")
 
     def test_report_csv_not_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -70,29 +70,29 @@ class TestWindowSplit:
 
 
 class TestConsensus:
-    def test_agreement_on_emotion(self, cfg):
-        assert consensus_label("angry", "angry", cfg) == EmotionLabel.ANGRY
+    def test_agreement_on_emotion(self):
+        assert consensus_label("angry", "angry") == EmotionLabel.ANGRY
 
-    def test_disagreement_falls_back_to_neutral(self, cfg):
-        assert consensus_label("happy", "sad", cfg) == EmotionLabel.NEUTRAL
+    def test_disagreement_falls_back_to_neutral(self):
+        assert consensus_label("happy", "sad") == EmotionLabel.NEUTRAL
 
-    def test_agreement_outside_six_set_is_neutral(self, cfg):
-        assert consensus_label("other", "other", cfg) == EmotionLabel.NEUTRAL
-        assert consensus_label("unknown", "unknown", cfg) == EmotionLabel.NEUTRAL
-        assert consensus_label("neutral", "neutral", cfg) == EmotionLabel.NEUTRAL
+    def test_agreement_outside_six_set_is_neutral(self):
+        assert consensus_label("other", "other") == EmotionLabel.NEUTRAL
+        assert consensus_label("unknown", "unknown") == EmotionLabel.NEUTRAL
+        assert consensus_label("neutral", "neutral") == EmotionLabel.NEUTRAL
 
-    def test_exhaustive_81_pairs(self, cfg):
+    def test_exhaustive_81_pairs(self):
         """The rule over the full 9x9 input domain."""
         for a, b in itertools.product(NINE_CLASS, NINE_CLASS):
-            result = consensus_label(a, b, cfg)
+            result = consensus_label(a, b)
             if a == b and a in SIX_EMOTIONAL:
                 assert result == EmotionLabel.from_name(a)
             else:
                 assert result == EmotionLabel.NEUTRAL
 
-    def test_unknown_label_string_rejected(self, cfg):
+    def test_unknown_label_string_rejected(self):
         with pytest.raises(DataError):
-            consensus_label("angry", "furious", cfg)
+            consensus_label("angry", "furious")
         with pytest.raises(DataError):
             parse_predictor_label("meh")
 
@@ -164,6 +164,11 @@ class TestMergeSegments:
     def test_overlap_rejected(self):
         with pytest.raises(DataError):
             merge_segments([(0, 3, EmotionLabel.SAD), (2, 5, EmotionLabel.SAD)])
+
+    @pytest.mark.parametrize("cap_s", [0.0, -1.0, float("nan")])
+    def test_cap_must_be_positive(self, cap_s):
+        with pytest.raises(ConfigError):
+            merge_segments([(0, 2, EmotionLabel.SAD)], cap_s=cap_s)
 
     def test_duration_conserved_and_cap_respected_fuzz(self):
         rng = np.random.default_rng(2)

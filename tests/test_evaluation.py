@@ -1,9 +1,17 @@
 """Evaluation tests: confusion/UAR oracles, CCC metric, ensembling, reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from serkit.datapipe import read_manifest, synth_dataset
+from serkit.datapipe import (
+    ManifestRecord,
+    read_features,
+    read_manifest,
+    synth_dataset,
+    write_features,
+)
 from serkit.errors import DataError
 from serkit.evaluation import (
     PRIMARY_FOUR,
@@ -46,13 +54,6 @@ class TestConfusionMatrix:
         for _ in range(n):
             cm.accumulate(int(rng.integers(0, 7)), int(rng.integers(0, 7)))
         assert cm.n_scored == n
-
-    def test_merge_is_elementwise_addition(self):
-        rng = np.random.default_rng(2)
-        a = ConfusionMatrix(rng.integers(0, 10, size=(7, 7)))
-        b = ConfusionMatrix(rng.integers(0, 10, size=(7, 7)))
-        expected = a.counts + b.counts
-        np.testing.assert_array_equal(a.merge(b).counts, expected)
 
 
 class TestUAR:
@@ -279,3 +280,76 @@ class TestEvaluateManifest:
         assert names[:4] == ["n_scored", "uar_7", "uar_4", "weighted_accuracy"]
         assert names[4:11] == [f"recall_{l.name.lower()}" for l in EmotionLabel]
         assert names[11:] == ["ccc_arousal", "ccc_valence", "ccc_dominance"]
+
+
+def timeline_records(directory, rows, frame_rate_hz=8.0):
+    """Eval records with random 8-dim features from (label, frames, dims or None) rows."""
+    rng = np.random.default_rng(30)
+    records = []
+    for i, (label, frames, dims) in enumerate(rows):
+        path = str(directory / f"r{i}.serf")
+        write_features(path, rng.normal(size=(frames, 8)))
+        a, v, d = dims or (None, None, None)
+        records.append(ManifestRecord(id=f"r{i}", features_path=path, frames=frames,
+                                      frame_rate_hz=frame_rate_hz, label=label, arousal=a,
+                                      valence=v, dominance=d, split="eval"))
+    return records
+
+
+class TestMergedWeighting:
+    """Merged segments average the records they cover, weighted by overlap in seconds."""
+
+    ROWS = [("Happy", 12, (0.2, 0.3, 0.4)),      # 0.0 - 1.5 s
+            ("Happy", 20, (0.6, 0.1, 0.9)),      # 1.5 - 4.0 s, split by the 3 s cap
+            ("Sad", 6, None),                    # 4.0 - 4.75 s, no dims
+            ("Sad", 10, (0.5, 0.5, 0.5)),        # 4.75 - 6.0 s
+            ("Angry", 16, (0.9, 0.8, 0.1)),      # 6.0 - 8.0 s
+            ("Neutral", 9, (0.3, 0.7, 0.2))]     # 8.0 - 9.125 s
+    # (label, [(record, seconds covered)]); the Sad segment holds a record without dims.
+    SEGMENTS = [(EmotionLabel.HAPPY, [(0, 1.5), (1, 1.5)]),
+                (EmotionLabel.HAPPY, [(1, 1.0)]),
+                (EmotionLabel.SAD, [(2, 0.75), (3, 1.25)]),
+                (EmotionLabel.ANGRY, [(4, 2.0)]),
+                (EmotionLabel.NEUTRAL, [(5, 1.125)])]
+
+    def test_matches_hand_computation(self, tmp_path, monkeypatch):
+        records = timeline_records(tmp_path, self.ROWS)
+        models = [small_model(seed=6), small_model(seed=7)]
+        scored = []
+        accumulate = ConfusionMatrix.accumulate
+
+        def record_pair(cm, ref, hyp):
+            scored.append((int(ref), int(hyp)))
+            return accumulate(cm, ref, hyp)
+
+        monkeypatch.setattr(ConfusionMatrix, "accumulate", record_pair)
+        report = evaluate_manifest(models, records, granularity="merged", merge_cap_s=3.0)
+
+        outs = [ensemble_predict(models, read_features(r.features_path)) for r in records]
+        expected = []
+        refs, preds = [], []
+        for label, parts in self.SEGMENTS:
+            total = sum(seconds for _, seconds in parts)
+            probs = sum(seconds * outs[i].cat_probs.data for i, seconds in parts) / total
+            expected.append((int(label), int(np.argmax(probs))))
+            if all(records[i].has_dims for i, _ in parts):
+                refs.append(sum(seconds * records[i].dim_array() for i, seconds in parts) / total)
+                preds.append(sum(seconds * outs[i].dim_tensor.data for i, seconds in parts)
+                             / total)
+        refs, preds = np.array(refs), np.array(preds)
+        assert len(refs) == 4
+        cov = np.mean((refs - refs.mean(0)) * (preds - preds.mean(0)), axis=0)
+        ccc = 2 * cov / (refs.var(0) + preds.var(0) + (refs.mean(0) - preds.mean(0)) ** 2)
+
+        assert scored == expected
+        assert report.n_scored == len(expected)
+        np.testing.assert_allclose(
+            [report.ccc_arousal, report.ccc_valence, report.ccc_dominance], ccc, atol=1e-12)
+
+    @pytest.mark.parametrize("granularity", ["fine", "merged"])
+    def test_record_shorter_than_1e_12_s_rejected(self, tmp_path, granularity):
+        records = timeline_records(tmp_path, self.ROWS[:2])
+        tiny = timeline_records(tmp_path / "tiny", [("Sad", 1, None)], frame_rate_hz=1e13)[0]
+        records.append(replace(tiny, id="tiny"))
+        with pytest.raises(DataError, match="overlaps no record"):
+            evaluate_manifest([small_model()], records, granularity=granularity)

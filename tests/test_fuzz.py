@@ -1,9 +1,10 @@
-"""Decoder fuzzing: every input file either decodes or raises DataError.
+"""Decoder fuzzing: every input file either decodes or raises its documented error.
 
 Each decoder gets small random and mutated files (bytes that are not
 UTF-8, `Infinity`/`NaN` numbers, non-object lines, missing fields, wrong
-types, cut or overwritten binary headers). Any other exception would
-reach the CLI as a traceback instead of exit code 2.
+types, cut or overwritten binary headers). Data files may raise only
+DataError (exit 2) and config files and overrides only ConfigError
+(exit 1); any other exception would reach the CLI as a traceback.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from serkit.checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
+from serkit.config import DEFAULTS, RunConfig
 from serkit.datapipe import (
     ConsensusConfig,
     pseudo_label_files,
@@ -24,7 +26,9 @@ from serkit.datapipe import (
     read_manifest,
     write_features,
 )
-from serkit.errors import DataError
+from serkit.errors import ConfigError, DataError
+from serkit.model import SERModel
+from serkit.reporting import read_report_csv
 
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -157,3 +161,53 @@ def test_checkpoint_dims_numpy_cannot_shape(tmp_path, entry):
     header = b"SERC" + struct.pack("<IIQd", 1, 1, 2, 0.5) + bytes(32)
     with pytest.raises(DataError, match="bad dims"):
         load_checkpoint(fresh(tmp_path, ".serc", header + entry))
+
+
+# Config values: sizes stay in -2..8 so that no model allocates much; text
+# without decimal digits cannot spell a larger one.
+config_values = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.lists(st.integers(-2, 8), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["nan", "-inf", "inf", "0.5", "-0.5", "1e-300", "1e308", "true", "no",
+                     ",", "0.9,nan", "1,4,4"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
+)
+config_keys = st.one_of(st.sampled_from(sorted(DEFAULTS)), st.text(max_size=4))
+config_pairs = st.tuples(config_keys, config_values).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+
+def builds_or_config_error(cfg: RunConfig) -> None:
+    """Every dataclass builder, and the model, return or raise ConfigError."""
+    builders = (cfg.loss_config, cfg.optimizer_config, lambda: cfg.train_config(0),
+                cfg.augment_config, lambda: SERModel(cfg.model_config(0)))
+    for build in builders:
+        with contextlib.suppress(ConfigError):
+            build()
+
+
+@FUZZ
+@given(lines=st.lists(st.one_of(config_pairs.map(str.encode), st.binary(max_size=12),
+                                st.just(b"# comment")), max_size=5),
+       overrides=st.lists(st.one_of(config_pairs.map(lambda p: p.replace(" = ", "=")),
+                                    config_values), max_size=3))
+@example(lines=[b"model.encoder_heads = 0"], overrides=["augment.speed_factors=nan"])
+@example(lines=[], overrides=["model.ecapa_dilations="])
+def test_config(tmp_path, lines, overrides):
+    with contextlib.suppress(ConfigError):
+        cfg = RunConfig.load(fresh(tmp_path, ".cfg", b"\n".join(lines)), overrides)
+        builds_or_config_error(cfg)
+
+
+report_lines = st.one_of(
+    st.just(b"metric,value"),
+    st.tuples(st.text(max_size=6), st.one_of(st.floats().map(repr), st.text(max_size=6)))
+    .map(lambda pair: f"{pair[0]},{pair[1]}".encode()),
+    st.binary(max_size=12),
+)
+
+
+@FUZZ
+@given(lines=st.lists(report_lines, max_size=5))
+@example(lines=[b"metric,value", b"uar_7,nan", b"uar_4,1e999"])
+def test_report_csv(tmp_path, lines):
+    decodes_or_data_error(read_report_csv, fresh(tmp_path, ".csv", b"\n".join(lines)))

@@ -97,20 +97,20 @@ class TestLora:
         rng = np.random.default_rng(8)
         w = Tensor(rng.normal(size=(6, 6)))
         adapter = LoraAdapter(rank=2, alpha=4.0, A=Tensor(rng.normal(size=(2, 6))),
-                              B=Tensor(np.zeros((6, 2))), target="query")
+                              B=Tensor(np.zeros((6, 2))))
         np.testing.assert_array_equal(lora_merge(w, adapter).data, w.data)
 
     def test_lora_merge_identity_construction(self):
         d = 4
         w = Tensor(np.random.default_rng(9).normal(size=(d, d)))
         adapter = LoraAdapter(rank=d, alpha=float(d), A=Tensor(np.eye(d)),
-                              B=Tensor(np.eye(d)), target="key")
+                              B=Tensor(np.eye(d)))
         np.testing.assert_allclose(lora_merge(w, adapter).data, w.data + np.eye(d), atol=1e-15)
 
     def test_lora_rank_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             LoraAdapter(rank=3, alpha=1.0, A=Tensor(np.zeros((2, 4))),
-                        B=Tensor(np.zeros((4, 2))), target="value")
+                        B=Tensor(np.zeros((4, 2))))
 
     def test_frozen_base_bitwise_after_updates(self, features):
         from serkit.optim import AdamWGroups, OptimizerConfig
@@ -336,8 +336,7 @@ class TestModelForward:
         rng = np.random.default_rng(41)
         for _ in range(10):
             out = model.forward(rng.normal(size=(6, 8)) * 5.0)
-            for value in (out.dims.arousal, out.dims.valence, out.dims.dominance):
-                assert 0.0 < value < 1.0
+            assert np.all((0.0 < out.dim_tensor.data) & (out.dim_tensor.data < 1.0))
 
     def test_deterministic_given_seed_and_input(self, features):
         out1 = SERModel(small_config(seed=9)).forward(features)
