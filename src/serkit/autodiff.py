@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Define-by-run engine: every operation on a Tensor appends a node to the
-implicit compute graph (parents + a backward closure that knows the exact
-local gradient). Calling ``backward()`` on a scalar output walks the graph
-once in reverse topological order and accumulates gradients into every
-tensor that has ``requires_grad`` set.
+Define-by-run engine: every operation on a Tensor makes a new Tensor, and
+links it into the implicit compute graph (parents + a backward closure that
+knows the exact local gradient) only when a gradient is wanted: some input
+requires grad and grad is enabled. Inside ``no_grad()`` nothing links, so
+each intermediate array is freed as soon as its last reference drops; the
+values computed are the same. Calling ``backward()`` on a scalar output
+walks the graph once in reverse topological order and accumulates gradients
+into every tensor that has ``requires_grad`` set.
 
 All buffers are float64 and row-major. Every op validates that its output
 is finite; a NaN/Inf raises :class:`NumericError` naming the node, so a
@@ -17,13 +20,33 @@ frames), so padded frames never reach a valid frame's output.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import threading
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
 
 _node_ids = itertools.count()
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without linking a graph (per thread); restores the previous mode on exit."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _as_array(data) -> np.ndarray:
@@ -53,11 +76,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_id")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False, _op: str = "leaf"):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = _parents
+        self._parents = ()
         self._backward = None
         self._op = _op
         self._id = next(_node_ids)
@@ -123,11 +146,13 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents, op: str, backward=None) -> "Tensor":
-        out = Tensor(data, _parents=tuple(parents), _op=op)
-        out.requires_grad = any(p.requires_grad for p in parents)
+        """Output node of `op`; it links `parents` and `backward` only when a gradient is wanted."""
+        out = Tensor(data, _op=op)
         if not np.isfinite(out.data).all():
             raise NumericError(f"non-finite value in op '{op}' (node {out._id})")
-        if out.requires_grad:
+        if _grad_mode.enabled and any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._parents = tuple(parents)
             out._backward = backward
         return out
 
@@ -557,28 +582,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=N
                 k._accumulate(merge(np.swapaxes(ds, -1, -2) @ qh))
 
     return Tensor._make(merge(probs @ vh), (q, k, v), "attention", backward)
-
-
-def forward_backward(graph, inputs: dict) -> tuple:
-    """Run `graph(inputs)` to a scalar and return (value, grads).
-
-    `grads` maps each requires_grad input name to d(value)/d(input);
-    non-grad inputs are absent. Gradients on the inputs are reset first,
-    so repeated calls do not accumulate across invocations.
-    """
-    for tensor in inputs.values():
-        tensor.grad = None
-    value = graph(inputs)
-    if not isinstance(value, Tensor):
-        raise ShapeError("graph must return a Tensor")
-    if value.data.size != 1:
-        raise ShapeError(f"graph output must be scalar, got shape {value.data.shape}")
-    value.backward()
-    grads = {}
-    for name, tensor in inputs.items():
-        if tensor.requires_grad:
-            grads[name] = tensor.grad.copy() if tensor.grad is not None else np.zeros_like(tensor.data)
-    return value, grads
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -143,7 +143,7 @@ def _gradcheck_group(name: str) -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    from .autodiff import finite_difference_sample, relative_error
+    from .autodiff import finite_difference_sample, no_grad, relative_error
 
     cfg = RunConfig.load(args.config, args.set)
     loss_cfg = cfg.loss_config()
@@ -166,7 +166,8 @@ def cmd_gradcheck(args) -> int:
         saved = tensor.data
         tensor.data = arr
         try:
-            return compute_batch_loss(model, batch, lengths, cats, dims, loss_cfg)[0].item()
+            with no_grad():  # the oracle never touches the reverse-mode engine
+                return compute_batch_loss(model, batch, lengths, cats, dims, loss_cfg)[0].item()
         finally:
             tensor.data = saved
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .datapipe import MERGE_CAP_S, FeatureStore, merge_segments
 from .errors import DataError
 from .labels import NUM_CLASSES, EmotionLabel
@@ -123,14 +123,15 @@ def ensemble_predict(models: list, features) -> ModelOutput:
     """Arithmetic mean of post-softmax probabilities and post-sigmoid dims.
 
     The returned logits are log(mean probs), whose softmax reproduces the
-    averaged distribution exactly.
+    averaged distribution exactly. The member forwards link no graph.
     """
     if not models:
         raise DataError("ensemble needs at least one model")
     probs = np.zeros(NUM_CLASSES)
     dims = np.zeros(3)
     for model in models:
-        out = model.forward(features)
+        with no_grad():
+            out = model.forward(features)
         probs += out.cat_probs.data
         dims += out.dim_tensor.data
     probs /= len(models)

@@ -37,6 +37,8 @@ class LossConfig:
             raise ConfigError("loss lambdas must be >= 0")
         if not 0.0 <= self.epsilon_smooth < 1.0:
             raise ConfigError(f"label smoothing epsilon must be in [0, 1), got {self.epsilon_smooth}")
+        if not self.eps_ccc >= 0:
+            raise ConfigError(f"CCC eps must be >= 0, got {self.eps_ccc}")
         self.class_weights = np.asarray(self.class_weights, dtype=np.float64)
         if self.class_weights.shape != (NUM_CLASSES,) or not np.all(self.class_weights > 0):
             raise ConfigError("class_weights must be 7 strictly positive values")

@@ -72,6 +72,8 @@ class LoraConfig:
     def __post_init__(self):
         if self.rank < 0:
             raise ConfigError(f"LoRA rank must be >= 0, got {self.rank}")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"LoRA alpha must be finite, got {self.alpha}")
 
     @property
     def enabled(self) -> bool:

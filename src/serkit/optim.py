@@ -33,6 +33,10 @@ class OptimizerConfig:
             raise ConfigError("learning rates must be > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
+        if not (self.backbone_weight_decay >= 0 and self.downstream_weight_decay >= 0):
+            raise ConfigError("weight decays must be >= 0")
+        if not self.eps > 0:
+            raise ConfigError(f"AdamW eps must be > 0, got {self.eps}")
 
 
 @dataclass

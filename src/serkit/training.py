@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .augment import AugmentConfig, add_noise_snr, make_noise_source, mixup_batch, speed_perturb
 from .checkpoint import CheckpointMeta, save_checkpoint
 from .datapipe import FeatureStore
@@ -54,6 +54,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ConfigError("epochs, batch_size and patience must all be >= 1")
+        if self.max_frames < 0:
+            raise ConfigError(f"max_frames must be >= 0 (0 keeps every frame), got {self.max_frames}")
 
 
 @dataclass
@@ -149,12 +151,14 @@ def _predict_records(model, records: list, store: FeatureStore, max_frames: int,
     """Augmentation-free (probs [N, 7], dims [N, 3]) arrays, `batch_size` records per forward.
 
     Padding does not change a prediction, so the split only bounds memory.
+    No backward follows, so the forwards link no graph.
     """
     probs, dims = [], []
     for lo in range(0, len(records), batch_size):
         features = [store.get(r)[:max_frames] if max_frames > 0 else store.get(r)
                     for r in records[lo:lo + batch_size]]
-        batch_probs, batch_dims, _ = model.forward_batch(*_stack_padded(features))
+        with no_grad():
+            batch_probs, batch_dims, _ = model.forward_batch(*_stack_padded(features))
         probs.append(batch_probs.data)
         dims.append(batch_dims.data)
     return np.concatenate(probs), np.concatenate(dims)
@@ -266,10 +270,3 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
         epoch_log.close()
     return state
 
-
-def batch_predictions(model, records: list, store: FeatureStore | None = None,
-                      max_frames: int = 0) -> tuple:
-    """Per-record (predicted class, dim scores) without augmentation."""
-    probs, dims = _predict_records(model, records, store or FeatureStore(), max_frames,
-                                   TrainConfig.batch_size)
-    return np.argmax(probs, axis=1), dims

@@ -1,5 +1,7 @@
 """Autodiff engine tests: analytic gradients vs central finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from serkit.autodiff import (
     concat,
     conv1d_dilated,
     finite_difference_gradient,
-    forward_backward,
     group_norm,
     layer_norm,
     multi_head_attention,
+    no_grad,
     relative_error,
 )
 from serkit.errors import ConfigError, NumericError, ShapeError
@@ -269,6 +271,28 @@ class TestFiniteDifference:
             finite_difference_gradient(lambda v: 0.0, np.ones(2), h=0.0)
 
 
+def forward_backward(graph, inputs: dict) -> tuple:
+    """Run `graph(inputs)` to a scalar and return (value, grads).
+
+    `grads` maps each requires_grad input name to d(value)/d(input);
+    non-grad inputs are absent. Gradients on the inputs are reset first,
+    so repeated calls do not accumulate across invocations.
+    """
+    for tensor in inputs.values():
+        tensor.grad = None
+    value = graph(inputs)
+    if not isinstance(value, Tensor):
+        raise ShapeError("graph must return a Tensor")
+    if value.data.size != 1:
+        raise ShapeError(f"graph output must be scalar, got shape {value.data.shape}")
+    value.backward()
+    grads = {}
+    for name, tensor in inputs.items():
+        if tensor.requires_grad:
+            grads[name] = tensor.grad.copy() if tensor.grad is not None else np.zeros_like(tensor.data)
+    return value, grads
+
+
 class TestForwardBackward:
     def test_grads_only_for_requires_grad(self):
         inputs = {
@@ -501,3 +525,86 @@ class TestBatchedPrimitives:
         loss.backward()
         assert hidden.grad is None and loss.grad is None
         np.testing.assert_allclose(x.grad, [18.0, 36.0])
+
+
+def _param(rng, *shape, low=-1.0, high=1.0):
+    return Tensor(rng.uniform(low, high, size=shape), requires_grad=True)
+
+
+NO_GRAD_OPS = {
+    "elementwise": lambda rng: _param(rng, 3, 4) * _param(rng, 3, 4),
+    "matmul": lambda rng: _param(rng, 3, 4) @ _param(rng, 4, 2),
+    "conv1d": lambda rng: conv1d_dilated(_param(rng, 2, 3, 6), _param(rng, 4, 3, 3),
+                                         _param(rng, 4), dilation=2),
+    "group_norm": lambda rng: group_norm(_param(rng, 2, 4, 5), 2, _param(rng, 4, low=0.5),
+                                         _param(rng, 4)),
+    "layer_norm": lambda rng: layer_norm(_param(rng, 2, 3, 4), _param(rng, 4, low=0.5),
+                                         _param(rng, 4)),
+    "attention": lambda rng: multi_head_attention(_param(rng, 2, 5, 4), _param(rng, 2, 5, 4),
+                                                  _param(rng, 2, 5, 4), 2),
+}
+
+
+def _linked(t: Tensor) -> bool:
+    return t.requires_grad or t._parents != () or t._backward is not None
+
+
+class TestNoGrad:
+    """Inside no_grad() ops link no graph; outside, only grad-requiring nodes link."""
+
+    @pytest.mark.parametrize("op", sorted(NO_GRAD_OPS))
+    def test_op_links_nothing_and_gives_same_values(self, op):
+        tracked = NO_GRAD_OPS[op](np.random.default_rng(40))
+        with no_grad():
+            free = NO_GRAD_OPS[op](np.random.default_rng(40))
+        assert _linked(tracked)
+        assert not _linked(free)
+        assert free.data.tobytes() == tracked.data.tobytes()
+
+    def test_non_finite_inside_no_grad_names_the_op(self):
+        x = Tensor([1000.0], requires_grad=True)
+        with no_grad(), pytest.raises(NumericError, match="'exp'"):
+            x.exp()
+
+    def test_mode_restored_after_exception(self):
+        x = Tensor([2.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert _linked(x * x)
+
+    def test_mode_restored_after_nesting(self):
+        x = Tensor([2.0], requires_grad=True)
+        with no_grad():
+            with pytest.raises(RuntimeError):
+                with no_grad():
+                    raise RuntimeError("boom")
+            assert not _linked(x * x)
+            with no_grad():
+                pass
+            assert not _linked(x * x)
+        assert _linked(x * x)
+
+    def test_mode_is_per_thread(self):
+        seen = []
+        x = Tensor([2.0], requires_grad=True)
+        with no_grad():
+            worker = threading.Thread(target=lambda: seen.append(_linked(x * x)))
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == [True]
+
+    def test_mixed_graph_gradients_and_frozen_nodes(self):
+        rng = np.random.default_rng(41)
+        w0, x0 = rng.normal(size=(4, 2)), rng.normal(size=(3, 4))
+        frozen = Tensor(w0)
+        hidden = (frozen * 2.0).tanh()          # frozen-only: keeps no inputs
+        x = Tensor(x0, requires_grad=True)
+        out = x @ hidden
+        (out * out).sum().backward()
+        assert not _linked(hidden)
+        assert out._parents == (x, hidden) and out._backward is not None
+        h = np.tanh(w0 * 2.0)
+        np.testing.assert_array_equal(x.grad, (2.0 * (x0 @ h)) @ h.T)
+        assert frozen.grad is None

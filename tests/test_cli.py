@@ -404,6 +404,10 @@ class TestMalformedInputs:
         "model.ecapa_stats_attention_hidden=0", "model.ecapa_kernel=-1",
         "model.ecapa_dilations=0", "augment.speed_factors=nan", "augment.noise_snr_db_min=nan",
         "augment.mixup_alpha=nan", "optim.backbone_lr=nan", "loss.lambda_dim=nan",
+        "model.lora_alpha=nan", "optim.eps=nan", "optim.eps=0", "optim.eps=-1e-8",
+        "optim.backbone_weight_decay=nan", "optim.backbone_weight_decay=-1e-5",
+        "optim.downstream_weight_decay=nan", "optim.downstream_weight_decay=-1e-5",
+        "train.max_frames=-3", "loss.eps_ccc=nan", "loss.eps_ccc=-1",
     ])
     def test_out_of_range_config_value_exit_1(self, tmp_path, datasets, tiny_config, capsys,
                                               setting):

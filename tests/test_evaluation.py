@@ -205,6 +205,19 @@ class TestEnsemble:
                           + m2.forward(features).cat_probs.data)
         np.testing.assert_allclose(ens.cat_probs.data, expected, atol=1e-15)
 
+    def test_bit_identical_to_grad_tracking_members(self):
+        features = np.random.default_rng(15).normal(size=(9, 8))
+        models = [small_model(seed=s) for s in range(3)]
+        outs = [m.forward(features) for m in models]
+        assert all(o.cat_probs.requires_grad and o.dim_tensor.requires_grad for o in outs)
+        probs, dims = np.zeros(7), np.zeros(3)
+        for out in outs:  # the ensemble's own summation order
+            probs += out.cat_probs.data
+            dims += out.dim_tensor.data
+        ens = ensemble_predict(models, features)
+        assert ens.cat_probs.data.tobytes() == (probs / 3).tobytes()
+        assert ens.dim_tensor.data.tobytes() == (dims / 3).tobytes()
+
     def test_probabilities_stay_on_simplex(self):
         rng = np.random.default_rng(12)
         models = [small_model(seed=s) for s in range(3)]
