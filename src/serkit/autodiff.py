@@ -30,6 +30,9 @@ from .errors import ConfigError, NumericError, ShapeError
 
 _node_ids = itertools.count()
 
+# Scores per attention tile (~1 MB of float64): a tile's softmax stays in L2 cache.
+BLOCK_ELEMENTS = 1 << 17
+
 
 class _GradMode(threading.local):
     enabled = True
@@ -107,8 +110,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # A copy, never `grad` itself: `add` hands the same array to both parents.
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, grad)
+        else:
+            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None):
         """Reverse-mode sweep seeding d(self)/d(self) = 1 (scalars only)."""
@@ -376,11 +382,17 @@ class Tensor:
     def __getitem__(self, key):
         """Basic or integer-array indexing; backward scatter-adds, so repeated indices sum."""
         a = self
+        parts = key if isinstance(key, tuple) else (key,)
+        basic = all((isinstance(p, (slice, int, np.integer)) and not isinstance(p, bool))
+                    or p is Ellipsis for p in parts)
 
         def backward(g):
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, key, g)
+            if basic:  # a view selects each element at most once
+                a.grad[key] += g
+            else:
+                np.add.at(a.grad, key, g)
 
         return Tensor._make(a.data[key].copy(), (a,), "slice", backward)
 
@@ -393,9 +405,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
+        index = [slice(None)] * g.ndim
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t._accumulate(np.take(g, np.arange(lo, hi), axis=axis))
+                index[axis] = slice(lo, hi)
+                t._accumulate(g[tuple(index)])
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat", backward)
 
@@ -505,10 +519,19 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=channel_axes))
         if x.requires_grad:
-            dxhat = (g * scale).reshape(grouped)
-            dx = (dxhat - dxhat.sum(axis=stat_axes, keepdims=True) / count
-                  - xhat * (dxhat * xhat).sum(axis=stat_axes, keepdims=True) / count)
-            x._accumulate((dx * rstd * keep).reshape(shape))
+            # dx = (dxhat - sum(dxhat)/count - (xhat * sum(dxhat*xhat))/count) * rstd * keep,
+            # built in place in dxhat's buffer with the same op order.
+            dx = (g * scale).reshape(grouped)
+            term = dx * xhat
+            mean_dxhat = dx.sum(axis=stat_axes, keepdims=True) / count
+            np.multiply(xhat, term.sum(axis=stat_axes, keepdims=True), out=term)
+            term /= count
+            dx -= mean_dxhat
+            dx -= term
+            dx *= rstd
+            if out_mask is not None:
+                dx *= keep
+            x._accumulate(dx.reshape(shape))
 
     return Tensor._make(out_data, (x, gamma, beta), "group_norm", backward)
 
@@ -537,8 +560,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=N
     """Scaled dot-product self-attention over [..., T, d] split into `num_heads` heads.
 
     With a `mask` ([B, T]) padded keys get probability 0 in every query's
-    softmax. One node: backward reuses the stored softmax [..., H, T, T]
-    instead of a per-head slice/matmul/softmax chain.
+    softmax. One node. The (utterance, head) pairs run in tiles of about
+    BLOCK_ELEMENTS scores (~1 MB), so each tile's [rows, T, T] softmax stays
+    in cache through the exp and the normalisation; the tile's softmax is
+    kept for backward only when a gradient is wanted, and backward walks the
+    same tiles.
     """
     shape = q.data.shape
     if q.data.ndim < 2 or k.data.shape != shape or v.data.shape != shape:
@@ -546,42 +572,62 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=N
                          f"{q.data.shape}, {k.data.shape}, {v.data.shape}")
     if num_heads < 1 or shape[-1] % num_heads != 0:
         raise ConfigError(f"attention: width {shape[-1]} not divisible by {num_heads} heads")
+    t = shape[-2]
     head_dim = shape[-1] // num_heads
     inv_scale = 1.0 / np.sqrt(head_dim)
 
-    def split(a):      # [..., T, d] -> [..., H, T, d/H]
-        return np.swapaxes(a.reshape(shape[:-1] + (num_heads, head_dim)), -3, -2)
+    def split(a):      # [..., T, d] -> [N*H, T, d/H], one row per (utterance, head)
+        return np.swapaxes(a.reshape(-1, t, num_heads, head_dim), 1, 2).reshape(-1, t, head_dim)
 
-    def merge(a):      # [..., H, T, d/H] -> [..., T, d]
-        return np.swapaxes(a, -3, -2).reshape(shape)
+    def merge(a):      # [N*H, T, d/H] -> [..., T, d]
+        return np.swapaxes(a.reshape(-1, num_heads, t, head_dim), 1, 2).reshape(shape)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    # The [..., H, T, T] buffer is the largest array in the model: update it in place.
-    probs = qh @ np.swapaxes(kh, -1, -2)
-    probs *= inv_scale
-    if mask is not None:
-        keys = np.reshape(mask, np.shape(mask)[:-1] + (1, 1, shape[-2]))
-        np.copyto(probs, -np.inf, where=np.logical_not(keys))
-    with np.errstate(invalid="ignore"):  # a fully masked row turns NaN; _make rejects it
-        probs -= np.max(probs, axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=-1, keepdims=True)
+    qf, kf, vf = split(q.data), split(k.data), split(v.data)
+    hidden = None
+    if mask is not None:   # [N*H, 1, T]: true on padded keys
+        hidden = np.repeat(np.reshape(np.logical_not(mask), (-1, 1, t)), num_heads, axis=0)
+    pairs = qf.shape[0]
+    rows = max(1, BLOCK_ELEMENTS // (t * t))
+    blocks = [slice(lo, min(lo + rows, pairs)) for lo in range(0, pairs, rows)]
+    keep = _grad_mode.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    probs = []
+    out = np.empty_like(qf)
+    for blk in blocks:
+        p = qf[blk] @ np.swapaxes(kf[blk], -1, -2)
+        p *= inv_scale
+        if hidden is not None:
+            np.copyto(p, -np.inf, where=hidden[blk])
+        with np.errstate(invalid="ignore"):  # a fully masked row turns NaN; _make rejects it
+            p -= np.max(p, axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= np.sum(p, axis=-1, keepdims=True)
+        np.matmul(p, vf[blk], out=out[blk])
+        if keep:
+            probs.append(p)
 
     def backward(g):
-        gh = split(g)
-        if v.requires_grad:
-            v._accumulate(merge(np.swapaxes(probs, -1, -2) @ gh))
-        if q.requires_grad or k.requires_grad:
-            ds = gh @ np.swapaxes(vh, -1, -2)
-            ds -= np.sum(ds * probs, axis=-1, keepdims=True)
-            ds *= probs
-            ds *= inv_scale
-            if q.requires_grad:
-                q._accumulate(merge(ds @ kh))
-            if k.requires_grad:
-                k._accumulate(merge(np.swapaxes(ds, -1, -2) @ qh))
+        # Split again rather than keep the forward's head-major copies alive in the graph.
+        qf, kf, vf, gf = split(q.data), split(k.data), split(v.data), split(g)
+        dq = np.empty_like(qf) if q.requires_grad else None
+        dk = np.empty_like(kf) if k.requires_grad else None
+        dv = np.empty_like(vf) if v.requires_grad else None
+        for blk, p in zip(blocks, probs):
+            if dv is not None:
+                np.matmul(np.swapaxes(p, -1, -2), gf[blk], out=dv[blk])
+            if dq is not None or dk is not None:
+                ds = gf[blk] @ np.swapaxes(vf[blk], -1, -2)
+                ds -= np.sum(ds * p, axis=-1, keepdims=True)
+                ds *= p
+                ds *= inv_scale
+                if dq is not None:
+                    np.matmul(ds, kf[blk], out=dq[blk])
+                if dk is not None:
+                    np.matmul(np.swapaxes(ds, -1, -2), qf[blk], out=dk[blk])
+        for tensor, grad in ((q, dq), (k, dk), (v, dv)):
+            if grad is not None:
+                tensor._accumulate(merge(grad))
 
-    return Tensor._make(merge(probs @ vh), (q, k, v), "attention", backward)
+    return Tensor._make(merge(out), (q, k, v), "attention", backward)
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

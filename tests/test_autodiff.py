@@ -1,10 +1,12 @@
 """Autodiff engine tests: analytic gradients vs central finite differences."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from serkit import autodiff
 from serkit.autodiff import (
     Tensor,
     concat,
@@ -78,6 +80,29 @@ class TestBasics:
         b = Tensor(np.ones((2, 3)))
         with pytest.raises(ShapeError, match="matmul"):
             a @ b
+
+    def test_first_gradient_is_a_copy(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        (a + b).backward(g)
+        a.grad[:] = 99.0
+        np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+
+    def test_slice_scatter_matches_add_at(self):
+        rng = np.random.default_rng(9)
+        x0, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(2, 4, 3))
+        idx = np.array([0, 2, 2])
+        x = Tensor(x0, requires_grad=True)
+        ((x[1:, :, 1:4] * w).sum() + x[..., 0:3][2].sum() + x[idx][:, 1:3, 1:4].sum()).backward()
+        expected = np.zeros_like(x0)
+        np.add.at(expected, (slice(1, None), slice(None), slice(1, 4)), w)
+        np.add.at(expected, (2, Ellipsis, slice(0, 3)), np.ones((4, 3)))
+        inner = np.zeros((3, 4, 5))
+        np.add.at(inner, (slice(None), slice(1, 3), slice(1, 4)), 1.0)
+        np.add.at(expected, idx, inner)
+        np.testing.assert_array_equal(x.grad, expected)
 
 
 class TestPrimitiveGradients:
@@ -470,6 +495,70 @@ class TestFusedOps:
         x = Tensor(np.ones((1, 3, 4)))
         with pytest.raises(NumericError, match="attention"):
             multi_head_attention(x, x, x, 2, mask=np.zeros((1, 3)))
+
+
+def _attention_run(q0, k0, v0, mask):
+    q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))
+    out = multi_head_attention(q, k, v, 2, mask=mask)
+    (out * Tensor(np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape))).sum().backward()
+    return out.data, q.grad, k.grad, v.grad
+
+
+class TestBlockedAttention:
+    """Attention tiles its (utterance, head) pairs; tiling must not change a bit."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_blocks_match_single_block(self, masked, monkeypatch):
+        assert autodiff.BLOCK_ELEMENTS // (200 * 200) == 3   # 4 pairs: blocks of 3 and 1
+        rng = np.random.default_rng(15)
+        q0, k0, v0 = rng.uniform(-1.0, 1.0, size=(3, 2, 200, 4))
+        mask = (np.arange(200) < np.array([[200], [131]])).astype(float) if masked else None
+        blocked = _attention_run(q0, k0, v0, mask)
+        monkeypatch.setattr(autodiff, "BLOCK_ELEMENTS", 1 << 30)
+        single = _attention_run(q0, k0, v0, mask)
+        for got, want in zip(blocked, single):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("trial", range(5))
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_grads_across_blocks(self, trial, masked, monkeypatch):
+        monkeypatch.setattr(autodiff, "BLOCK_ELEMENTS", 4 * 7 * 7)   # 6 pairs: blocks of 4 and 2
+        rng = np.random.default_rng(16000 + trial)
+        _, mask = padded_batch(rng, LENGTHS, 4, 7, time_axis=1)
+        mask = mask if masked else None
+        q0, k0, v0 = rng.uniform(-1.0, 1.0, size=(3, 3, 7, 4))
+        fd_check(lambda q: multi_head_attention(q, Tensor(k0), Tensor(v0), 2, mask=mask), q0)
+        fd_check(lambda k: multi_head_attention(Tensor(q0), k, Tensor(v0), 2, mask=mask), k0)
+        fd_check(lambda v: multi_head_attention(Tensor(q0), Tensor(k0), v, 2, mask=mask), v0)
+
+    def test_fully_masked_row_in_later_block_raises(self):
+        x = Tensor(np.ones((3, 200, 4)), requires_grad=True)
+        mask = np.ones((3, 200))
+        mask[2] = 0.0           # pairs 4 and 5: only the second block
+        with pytest.raises(NumericError, match="attention"):
+            multi_head_attention(x, x, x, 2, mask=mask)
+
+    def test_no_grad_keeps_no_softmax(self):
+        x0 = np.random.default_rng(17).uniform(-1.0, 1.0, size=(8, 200, 4))
+        softmax_bytes = 8 * 2 * 200 * 200 * 8
+
+        def retained_and_peak(x):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = multi_head_attention(x, x, x, 2)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.data.shape == x0.shape
+            return current - base, peak - base
+
+        retained, _ = retained_and_peak(Tensor(x0, requires_grad=True))
+        assert retained >= softmax_bytes
+        with no_grad():
+            retained, peak = retained_and_peak(Tensor(x0, requires_grad=True))
+        assert retained < softmax_bytes / 10
+        assert peak < softmax_bytes / 2
 
 
 class TestBatchedPrimitives:
