@@ -108,13 +108,17 @@ class Tensor:
 
     # -- graph machinery -------------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            # A copy, never `grad` itself: `add` hands the same array to both parents.
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False):
+        """Add `grad` into self.grad. A first gradient is copied (`add` hands one array to both
+        parents, views alias it) unless the caller marks it `fresh`, held by no one else: a
+        fresh C-contiguous array of this tensor's shape is adopted as is."""
+        if self.grad is not None:
+            self.grad += grad
+        elif fresh and grad.shape == self.data.shape and grad.flags.c_contiguous:
+            self.grad = grad
+        else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, grad)
-        else:
-            self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None):
         """Reverse-mode sweep seeding d(self)/d(self) = 1 (scalars only)."""
@@ -180,7 +184,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(-g)
+            a._accumulate(-g, fresh=True)
 
         return Tensor._make(-a.data, (a,), "neg", backward)
 
@@ -197,9 +201,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+                a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+                b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
         return Tensor._make(a.data * b.data, (a, b), "mul", backward)
 
@@ -211,9 +215,10 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+                a._accumulate(_unbroadcast(g / b.data, a.data.shape), fresh=True)
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+                              fresh=True)
 
         return Tensor._make(a.data / b.data, (a, b), "div", backward)
 
@@ -226,7 +231,7 @@ class Tensor:
         a, c = self, float(exponent)
 
         def backward(g):
-            a._accumulate(g * c * np.power(a.data, c - 1.0))
+            a._accumulate(g * c * np.power(a.data, c - 1.0), fresh=True)
 
         return Tensor._make(np.power(a.data, c), (a,), f"pow{c}", backward)
 
@@ -241,13 +246,15 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+                              fresh=True)
             if b.requires_grad:
                 if b.data.ndim == 2:  # shared weight: one product over all batch rows
                     k, n = b.data.shape
-                    b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                    b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
                 else:
-                    b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+                    b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+                                  fresh=True)
 
         return Tensor._make(a.data @ b.data, (a, b), "matmul", backward)
 
@@ -257,7 +264,7 @@ class Tensor:
             out_data = np.exp(a.data)
 
         def backward(g):
-            a._accumulate(g * out_data)
+            a._accumulate(g * out_data, fresh=True)
 
         return Tensor._make(out_data, (a,), "exp", backward)
 
@@ -265,7 +272,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(g / a.data)
+            a._accumulate(g / a.data, fresh=True)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             out_data = np.log(a.data)
@@ -276,7 +283,7 @@ class Tensor:
         out_data = np.tanh(a.data)
 
         def backward(g):
-            a._accumulate(g * (1.0 - out_data * out_data))
+            a._accumulate(g * (1.0 - out_data * out_data), fresh=True)
 
         return Tensor._make(out_data, (a,), "tanh", backward)
 
@@ -289,18 +296,19 @@ class Tensor:
         out_data = np.clip(out_data, 1e-300, np.nextafter(1.0, 0.0))
 
         def backward(g):
-            a._accumulate(g * out_data * (1.0 - out_data))
+            a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
 
         return Tensor._make(out_data, (a,), "sigmoid", backward)
 
     def relu(self):
         a = self
-        mask = a.data > 0
+        out_data = np.maximum(a.data, 0.0)
+        out_data += 0.0  # -0.0 -> +0.0, so the output equals np.where(x > 0, x, 0.0)
 
         def backward(g):
-            a._accumulate(g * mask)
+            a._accumulate(g * (out_data > 0), fresh=True)
 
-        return Tensor._make(np.where(mask, a.data, 0.0), (a,), "relu", backward)
+        return Tensor._make(out_data, (a,), "relu", backward)
 
     def maximum(self, floor: float):
         """Elementwise max(x, floor); grad passes only where x > floor."""
@@ -308,7 +316,7 @@ class Tensor:
         mask = a.data > floor
 
         def backward(g):
-            a._accumulate(g * mask)
+            a._accumulate(g * mask, fresh=True)
 
         return Tensor._make(np.maximum(a.data, floor), (a,), "maximum", backward)
 
@@ -318,10 +326,10 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape).copy())
+                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape).copy(), fresh=True)
             else:
                 gg = g if keepdims else np.expand_dims(g.reshape(out.shape), axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+                a._accumulate(np.broadcast_to(gg, a.data.shape).copy(), fresh=True)
 
         return Tensor._make(out, (a,), "sum", backward)
 
@@ -332,10 +340,10 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape) / n)
+                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape) / n, fresh=True)
             else:
                 gg = g if keepdims else np.expand_dims(g.reshape(out.shape), axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape) / n)
+                a._accumulate(np.broadcast_to(gg, a.data.shape) / n, fresh=True)
 
         return Tensor._make(out, (a,), "mean", backward)
 
@@ -353,7 +361,7 @@ class Tensor:
 
         def backward(g):
             dot = np.sum(g * out_data, axis=-1, keepdims=True)
-            a._accumulate(out_data * (g - dot))
+            a._accumulate(out_data * (g - dot), fresh=True)
 
         return Tensor._make(out_data, (a,), "softmax", backward)
 
@@ -416,12 +424,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int = 1,
                    mask=None) -> Tensor:
-    """Dilated 1D convolution over [..., C_in, T] preserving T.
+    """Dilated 1D convolution over [..., C_in, T] preserving T; the output is C-contiguous.
 
     weight is [C_out, C_in, K] with odd K; symmetric zero padding of
     (K-1)//2 * dilation on each side keeps the time axis length. With a
     `mask` ([B, T]) padded input frames read as zeros, so each utterance's
-    kernel edges see exactly what its own zero padding gives.
+    kernel edges see exactly what its own zero padding gives. A pointwise
+    kernel (K=1) is one batched matmul over [N, C, T]; wider kernels stack
+    im2col columns so the whole batch is one matmul. Either way the weight
+    and bias gradients are one product over [C, N*T].
     """
     if x.data.ndim < 2 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d expects x[..., C, T], w[Co,Ci,K]; "
@@ -441,37 +452,46 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
     if keep is not None:
         xb = xb * keep
     n = xb.shape[0]
-    xp = np.zeros((c_in, n, t + 2 * pad))
-    xp[:, :, pad:pad + t] = xb.transpose(1, 0, 2)
-    # im2col: col[(k, c), (b, t)] stacked so the whole batch is one matmul
-    col = np.empty((k * c_in, n, t))
-    for i in range(k):
-        col[i * c_in:(i + 1) * c_in] = xp[:, :, i * dilation:i * dilation + t]
-    col = col.reshape(k * c_in, n * t)
     w_flat = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    out_data = w_flat @ col
+    if k == 1:
+        col = xb  # [N, C_in, T]; flattened to [C_in, N*T] in backward
+        out_data = np.matmul(w_flat, xb)
+    else:
+        xp = np.zeros((c_in, n, t + 2 * pad))
+        xp[:, :, pad:pad + t] = xb.transpose(1, 0, 2)
+        # im2col: col[(k, c), (b, t)]
+        col = np.empty((k * c_in, n, t))
+        for i in range(k):
+            col[i * c_in:(i + 1) * c_in] = xp[:, :, i * dilation:i * dilation + t]
+        col = col.reshape(k * c_in, n * t)
+        out_data = np.ascontiguousarray((w_flat @ col).reshape(c_out, n, t).transpose(1, 0, 2))
     parents = [x, weight]
     if bias is not None:
-        out_data = out_data + bias.data[:, None]
+        out_data += bias.data[:, None]
         parents.append(bias)
 
     def backward(g):
-        g = g.reshape(n, c_out, t).transpose(1, 0, 2).reshape(c_out, n * t)
+        g = g.reshape(n, c_out, t)
+        g_flat = g.transpose(1, 0, 2).reshape(c_out, n * t)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=1))
+            bias._accumulate(g_flat.sum(axis=1), fresh=True)
         if weight.requires_grad:
-            weight._accumulate((g @ col.T).reshape(c_out, k, c_in).transpose(0, 2, 1))
+            cols = col.transpose(1, 0, 2).reshape(c_in, n * t) if k == 1 else col
+            weight._accumulate((g_flat @ cols.T).reshape(c_out, k, c_in).transpose(0, 2, 1),
+                               fresh=True)
         if x.requires_grad:
-            dcol = (w_flat.T @ g).reshape(k * c_in, n, t)
-            dxp = np.zeros_like(xp)
-            for i in range(k):
-                dxp[:, :, i * dilation:i * dilation + t] += dcol[i * c_in:(i + 1) * c_in]
-            dx = dxp[:, :, pad:pad + t].transpose(1, 0, 2)
+            if k == 1:
+                dx = np.matmul(w_flat.T, g)
+            else:
+                dcol = (w_flat.T @ g_flat).reshape(k * c_in, n, t)
+                dxp = np.zeros((c_in, n, t + 2 * pad))
+                for i in range(k):
+                    dxp[:, :, i * dilation:i * dilation + t] += dcol[i * c_in:(i + 1) * c_in]
+                dx = np.ascontiguousarray(dxp[:, :, pad:pad + t].transpose(1, 0, 2))
             if keep is not None:
-                dx = dx * keep
-            x._accumulate(dx.reshape(x.data.shape))
+                dx *= keep
+            x._accumulate(dx.reshape(x.data.shape), fresh=True)
 
-    out_data = out_data.reshape(c_out, n, t).transpose(1, 0, 2)
     return Tensor._make(out_data.reshape(x.data.shape[:-2] + (c_out, t)), parents,
                         f"conv1d(d={dilation})", backward)
 
@@ -481,7 +501,8 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
     """GroupNorm over [..., C, T]: per-group stats over the group's channels x all time steps.
 
     With a `mask` ([B, T]) the statistics cover valid frames only and padded
-    frames come out as exact zeros. One node with a hand-derived backward.
+    frames come out as exact zeros. One node with a hand-derived backward; forward builds
+    the output in one full-size buffer and keeps `xhat` in a second, backward uses two.
     """
     if x.data.ndim < 2:
         raise ShapeError(f"group_norm expects [..., C, T], got shape {x.data.shape}")
@@ -495,65 +516,87 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
     stat_axes = (-2, -1)
     channel_axes = tuple(range(len(shape) - 2)) + (len(shape) - 1,)
     if mask is None:
-        keep, out_mask, count = 1.0, None, c // num_groups * t
+        keep, out_mask, count = None, None, c // num_groups * t
     else:
         valid = np.asarray(mask, dtype=np.float64)
         keep = valid.reshape(valid.shape[:-1] + (1, 1, t))       # grouped layout
         out_mask = valid.reshape(valid.shape[:-1] + (1, t))      # [..., C, T] layout
         count = c // num_groups * keep.sum(axis=-1, keepdims=True)
     xg = x.data.reshape(grouped)
-    mu = (xg * keep).sum(axis=stat_axes, keepdims=True) / count
-    centered = (xg - mu) * keep
-    rstd = 1.0 / np.sqrt((centered * centered).sum(axis=stat_axes, keepdims=True) / count + eps)
-    xhat = centered * rstd
+    buf = np.empty(grouped)
+    kept = xg if keep is None else np.multiply(xg, keep, out=buf)
+    mu = kept.sum(axis=stat_axes, keepdims=True) / count
+    np.subtract(xg, mu, out=buf)
+    if keep is not None:
+        buf *= keep
+    xhat = np.multiply(buf, buf)
+    rstd = 1.0 / np.sqrt(xhat.sum(axis=stat_axes, keepdims=True) / count + eps)
+    np.multiply(buf, rstd, out=xhat)
+    xhat = xhat.reshape(shape)
     scale = gamma.data.reshape(c, 1)
-    out_data = xhat.reshape(shape) * scale + beta.data.reshape(c, 1)
+    out_data = buf.reshape(shape)
+    np.multiply(xhat, scale, out=out_data)
+    out_data += beta.data.reshape(c, 1)
     if out_mask is not None:
-        out_data = out_data * out_mask
+        out_data *= out_mask
 
     def backward(g):
         if out_mask is not None:
             g = g * out_mask  # padded outputs are constant zeros
+        prod = None
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat.reshape(shape)).sum(axis=channel_axes))
+            prod = np.multiply(g, xhat)
+            gamma._accumulate(prod.sum(axis=channel_axes), fresh=True)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=channel_axes))
+            beta._accumulate(g.sum(axis=channel_axes), fresh=True)
         if x.requires_grad:
             # dx = (dxhat - sum(dxhat)/count - (xhat * sum(dxhat*xhat))/count) * rstd * keep,
             # built in place in dxhat's buffer with the same op order.
-            dx = (g * scale).reshape(grouped)
-            term = dx * xhat
+            dx = np.multiply(g, scale, out=g if out_mask is not None else None)
+            term = np.multiply(dx, xhat, out=prod).reshape(grouped)
+            dx = dx.reshape(grouped)
             mean_dxhat = dx.sum(axis=stat_axes, keepdims=True) / count
-            np.multiply(xhat, term.sum(axis=stat_axes, keepdims=True), out=term)
+            np.multiply(xhat.reshape(grouped), term.sum(axis=stat_axes, keepdims=True), out=term)
             term /= count
             dx -= mean_dxhat
             dx -= term
             dx *= rstd
-            if out_mask is not None:
+            if keep is not None:
                 dx *= keep
-            x._accumulate(dx.reshape(shape))
+            x._accumulate(dx.reshape(shape), fresh=True)
 
     return Tensor._make(out_data, (x, gamma, beta), "group_norm", backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row LayerNorm over the feature (last) axis of [..., d]; one node."""
+    """Per-row LayerNorm over the feature (last) axis of [..., d]; one node, two buffers as
+    in group_norm."""
     d = x.data.shape[-1]
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    xhat = centered * rstd
+    buf = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = np.multiply(buf, buf)
+    rstd = 1.0 / np.sqrt(xhat.mean(axis=-1, keepdims=True) + eps)
+    np.multiply(buf, rstd, out=xhat)
+    np.multiply(xhat, gamma.data, out=buf)
+    buf += beta.data
 
     def backward(g):
+        prod = None
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, d).sum(axis=0))
+            prod = np.multiply(g, xhat)
+            gamma._accumulate(prod.reshape(-1, d).sum(axis=0), fresh=True)
         if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0))
+            beta._accumulate(g.reshape(-1, d).sum(axis=0), fresh=True)
         if x.requires_grad:
             dxhat = g * gamma.data
-            x._accumulate(rstd * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)))
+            term = np.multiply(dxhat, xhat, out=prod)
+            mean_term = term.mean(axis=-1, keepdims=True)
+            dxhat -= dxhat.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, mean_term, out=term)
+            dxhat -= term
+            dxhat *= rstd
+            x._accumulate(dxhat, fresh=True)
 
-    return Tensor._make(xhat * gamma.data + beta.data, (x, gamma, beta), "layer_norm", backward)
+    return Tensor._make(buf, (x, gamma, beta), "layer_norm", backward)
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
@@ -625,7 +668,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=N
                     np.matmul(np.swapaxes(ds, -1, -2), qf[blk], out=dk[blk])
         for tensor, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
-                tensor._accumulate(merge(grad))
+                tensor._accumulate(merge(grad), fresh=True)
 
     return Tensor._make(merge(out), (q, k, v), "attention", backward)
 

@@ -90,6 +90,56 @@ class TestBasics:
         np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
 
+    def test_fresh_contiguous_gradient_is_adopted(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        fresh = np.ones((2, 3))
+        x._accumulate(fresh, fresh=True)
+        assert x.grad is fresh
+        y = Tensor(np.zeros((3, 2)), requires_grad=True)
+        strided = np.ones((2, 3)).T
+        y._accumulate(strided, fresh=True)
+        assert not np.shares_memory(y.grad, strided) and y.grad.flags.c_contiguous
+
+    def test_fan_out_gradients_are_private(self):
+        rng = np.random.default_rng(10)
+        arrays = [rng.uniform(-1.0, 1.0, size=shape) for shape in ((3, 4), (3, 4), (4, 3), (16,))]
+
+        def loss(a, b, c, d):
+            s = a + b                          # both sides of one add
+            t = (s.T + c).relu() @ s           # s consumed twice; T hands a view of g
+            u = t.reshape(16) + d              # reshape hands a view of g
+            return (u * u).sum()               # u consumed twice by one mul
+
+        leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
+        seed = np.array([2.0])
+        loss(*leaves).backward(seed)
+        np.testing.assert_array_equal(seed, [2.0])
+        for i, leaf in enumerate(leaves):
+            others = [Tensor(arr) for arr in arrays]
+
+            def f(arr, i=i, others=others):
+                return 2.0 * loss(*others[:i], Tensor(arr), *others[i + 1:]).item()
+
+            assert relative_error(leaf.grad, finite_difference_gradient(f, arrays[i])) < 1e-6
+        for i, leaf in enumerate(leaves):
+            leaf.grad[...] = float(i)
+        for i, leaf in enumerate(leaves):
+            assert np.all(leaf.grad == float(i))
+        np.testing.assert_array_equal(seed, [2.0])
+
+    def test_relu_matches_where_bitwise(self):
+        rng = np.random.default_rng(11)
+        x0 = rng.normal(size=(4, 50))
+        x0[0, ::3] = 0.0
+        x0[1, ::3] = -0.0
+        x = Tensor(x0, requires_grad=True)
+        out = x.relu()
+        assert out.data.tobytes() == np.where(x0 > 0, x0, 0.0).tobytes()
+        mix = rng.normal(size=x0.shape)
+        (out * Tensor(mix)).sum().backward()
+        assert np.all(x.grad[x0 <= 0] == 0.0)
+        np.testing.assert_array_equal(x.grad[x0 > 0], mix[x0 > 0])
+
     def test_slice_scatter_matches_add_at(self):
         rng = np.random.default_rng(9)
         x0, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(2, 4, 3))
@@ -406,6 +456,19 @@ def composed_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tenso
     return concat(heads, axis=1)
 
 
+def traced_bytes(build, shape):
+    """Bytes that `build()` leaves allocated, and its peak, both above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == shape
+    return current - base, peak - base
+
+
 def padded_batch(rng, lengths, width, t_max, time_axis):
     """Random batch with zero padding past each length, plus its [B, T] mask."""
     lengths = np.asarray(lengths)
@@ -543,15 +606,7 @@ class TestBlockedAttention:
         softmax_bytes = 8 * 2 * 200 * 200 * 8
 
         def retained_and_peak(x):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                out = multi_head_attention(x, x, x, 2)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert out.data.shape == x0.shape
-            return current - base, peak - base
+            return traced_bytes(lambda: multi_head_attention(x, x, x, 2), x0.shape)
 
         retained, _ = retained_and_peak(Tensor(x0, requires_grad=True))
         assert retained >= softmax_bytes
@@ -559,6 +614,58 @@ class TestBlockedAttention:
             retained, peak = retained_and_peak(Tensor(x0, requires_grad=True))
         assert retained < softmax_bytes / 10
         assert peak < softmax_bytes / 2
+
+
+NORMS = {
+    "group_norm": ((8, 64, 200), lambda x, g, b: group_norm(x, 8, g, b)),
+    "group_norm_masked": ((8, 64, 200), lambda x, g, b: group_norm(
+        x, 8, g, b, mask=np.arange(200) < np.arange(130, 210, 10)[:, None])),
+    "layer_norm": ((8, 200, 64), lambda x, g, b: layer_norm(x, g, b)),
+}
+
+
+class TestNormBuffers:
+    """GroupNorm and LayerNorm forward and backward each use two full-size buffers."""
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_forward_peak_and_retained(self, name):
+        shape, norm = NORMS[name]
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 64), requires_grad=True)
+        beta = Tensor(rng.uniform(-0.5, 0.5, 64), requires_grad=True)
+        full, slack = x.data.nbytes, x.data.nbytes // 8
+        retained, peak = traced_bytes(lambda: norm(x, gamma, beta), shape)
+        assert peak <= 3 * full
+        assert retained <= 2 * full + slack          # the output and xhat
+        with no_grad():
+            retained, peak = traced_bytes(lambda: norm(x, gamma, beta), shape)
+        assert peak <= 3 * full
+        assert retained <= full + slack               # the output only
+        out, g = norm(x, gamma, beta), np.ones(shape)
+
+        def backward():
+            out._backward(g)
+            return x.grad
+
+        _, peak = traced_bytes(backward, shape)
+        assert peak <= 2 * full + slack               # x.grad is one of the two
+
+    @pytest.mark.parametrize("name", sorted(NORMS))
+    def test_all_grads_in_one_backward(self, name):
+        shape, norm = NORMS[name]
+        rng = np.random.default_rng(19)
+        x0, mix = rng.normal(size=shape), rng.normal(size=shape)
+        p0 = [rng.uniform(0.5, 1.5, 64), rng.uniform(-0.5, 0.5, 64)]
+
+        def grads(wanted):
+            leaves = [Tensor(a, requires_grad=i in wanted) for i, a in enumerate([x0] + p0)]
+            (norm(*leaves) * Tensor(mix)).sum().backward()
+            return [leaf.grad for leaf in leaves]
+
+        joint = grads({0, 1, 2})
+        for i in range(3):
+            np.testing.assert_array_equal(joint[i], grads({i})[i])
 
 
 class TestBatchedPrimitives:
@@ -584,6 +691,36 @@ class TestBatchedPrimitives:
         fd_check(lambda x: conv1d_dilated(x, Tensor(w0), Tensor(b0), 2, mask=mask), x0)
         fd_check(lambda w: conv1d_dilated(Tensor(x0), w, Tensor(b0), 2, mask=mask), w0)
         fd_check(lambda b: conv1d_dilated(Tensor(x0), Tensor(w0), b, 2, mask=mask), b0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_pointwise_conv_matches_im2col(self, masked):
+        rng = np.random.default_rng(5)
+        x, mask = padded_batch(rng, LENGTHS, 3, 7, time_axis=2)
+        x += 5.0 * (1.0 - mask[:, None, :])   # junk padding
+        w = rng.normal(size=(2, 3, 1))
+        wide = np.zeros((2, 3, 3))
+        wide[:, :, 1:2] = w                    # K=3 with zero side taps runs im2col
+        b = Tensor(rng.normal(size=2))
+        for xin, m in ((x, mask), (x[1], mask[1:2])):   # [B, C, T] and [C, T]
+            m = m if masked else None
+            pointwise = conv1d_dilated(Tensor(xin), Tensor(w), b, mask=m).data
+            im2col = conv1d_dilated(Tensor(xin), Tensor(wide), b, mask=m).data
+            np.testing.assert_allclose(pointwise, im2col, rtol=0, atol=1e-12)
+            assert pointwise.flags.c_contiguous and im2col.flags.c_contiguous
+
+    @pytest.mark.parametrize("trial", range(10))
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_pointwise_conv_grads(self, trial, masked):
+        rng = np.random.default_rng(15500 + trial)
+        x0, mask = padded_batch(rng, LENGTHS, 3, 7, time_axis=2)
+        x0 += rng.uniform(-1.0, 1.0, size=x0.shape) * (1.0 - mask[:, None, :])  # junk padding
+        mask = mask if masked else None
+        w0 = rng.uniform(-1.0, 1.0, size=(2, 3, 1))
+        b0 = rng.uniform(-1.0, 1.0, size=2)
+        fd_check(lambda x: conv1d_dilated(x, Tensor(w0), Tensor(b0), mask=mask), x0)
+        fd_check(lambda w: conv1d_dilated(Tensor(x0), w, Tensor(b0), mask=mask), w0)
+        fd_check(lambda b: conv1d_dilated(Tensor(x0), Tensor(w0), b, mask=mask), b0)
+        fd_check(lambda x: conv1d_dilated(x, Tensor(w0), Tensor(b0)), x0[0])
 
     @pytest.mark.parametrize("trial", range(10))
     def test_batched_matmul_grads(self, trial):
