@@ -108,26 +108,30 @@ class Tensor:
 
     # -- graph machinery -------------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray, fresh: bool = False):
-        """Add `grad` into self.grad. A first gradient is copied (`add` hands one array to both
-        parents, views alias it) unless the caller marks it `fresh`, held by no one else: a
-        fresh C-contiguous array of this tensor's shape is adopted as is."""
+    def _accumulate(self, grad: np.ndarray):
+        """Add `grad` into self.grad. A first gradient that is C-contiguous and of this tensor's
+        shape is adopted as is, anything else is copied. So every backward hands each array it
+        made, or each view of its own incoming gradient, to at most one tensor."""
         if self.grad is not None:
             self.grad += grad
-        elif fresh and grad.shape == self.data.shape and grad.flags.c_contiguous:
+        elif grad.shape == self.data.shape and grad.flags.c_contiguous:
             self.grad = grad
         else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, grad)
 
     def backward(self, grad: np.ndarray | None = None):
-        """Reverse-mode sweep seeding d(self)/d(self) = 1 (scalars only)."""
+        """Reverse-mode sweep seeded with `grad` (a copy is taken), or with 1 for a scalar."""
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError(
                     f"backward() without explicit gradient requires a scalar, got shape {self.data.shape}"
                 )
             grad = np.ones_like(self.data)
+        grad = np.array(grad, dtype=np.float64, ndmin=1)    # a copy: the caller keeps its seed
+        if grad.shape != self.data.shape:
+            raise ShapeError(f"backward() seed of shape {grad.shape} does not match "
+                             f"output of shape {self.data.shape}")
         if not self.requires_grad:
             return
         # Iterative topological order over the grad-requiring subgraph.
@@ -174,7 +178,8 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
+                gb = _unbroadcast(g, b.data.shape)
+                b._accumulate(gb.copy() if gb is g and a.grad is g else gb)
 
         return Tensor._make(a.data + b.data, (a, b), "add", backward)
 
@@ -184,7 +189,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(-g, fresh=True)
+            a._accumulate(-g)
 
         return Tensor._make(-a.data, (a,), "neg", backward)
 
@@ -201,9 +206,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
+                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
+                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
         return Tensor._make(a.data * b.data, (a, b), "mul", backward)
 
@@ -215,10 +220,9 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.data.shape), fresh=True)
+                a._accumulate(_unbroadcast(g / b.data, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-                              fresh=True)
+                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
         return Tensor._make(a.data / b.data, (a, b), "div", backward)
 
@@ -231,7 +235,7 @@ class Tensor:
         a, c = self, float(exponent)
 
         def backward(g):
-            a._accumulate(g * c * np.power(a.data, c - 1.0), fresh=True)
+            a._accumulate(g * c * np.power(a.data, c - 1.0))
 
         return Tensor._make(np.power(a.data, c), (a,), f"pow{c}", backward)
 
@@ -246,15 +250,13 @@ class Tensor:
 
         def backward(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-                              fresh=True)
+                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
             if b.requires_grad:
                 if b.data.ndim == 2:  # shared weight: one product over all batch rows
                     k, n = b.data.shape
-                    b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n), fresh=True)
+                    b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
                 else:
-                    b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
-                                  fresh=True)
+                    b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
         return Tensor._make(a.data @ b.data, (a, b), "matmul", backward)
 
@@ -264,7 +266,7 @@ class Tensor:
             out_data = np.exp(a.data)
 
         def backward(g):
-            a._accumulate(g * out_data, fresh=True)
+            a._accumulate(g * out_data)
 
         return Tensor._make(out_data, (a,), "exp", backward)
 
@@ -272,7 +274,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(g / a.data, fresh=True)
+            a._accumulate(g / a.data)
 
         with np.errstate(divide="ignore", invalid="ignore"):
             out_data = np.log(a.data)
@@ -283,7 +285,7 @@ class Tensor:
         out_data = np.tanh(a.data)
 
         def backward(g):
-            a._accumulate(g * (1.0 - out_data * out_data), fresh=True)
+            a._accumulate(g * (1.0 - out_data * out_data))
 
         return Tensor._make(out_data, (a,), "tanh", backward)
 
@@ -296,7 +298,7 @@ class Tensor:
         out_data = np.clip(out_data, 1e-300, np.nextafter(1.0, 0.0))
 
         def backward(g):
-            a._accumulate(g * out_data * (1.0 - out_data), fresh=True)
+            a._accumulate(g * out_data * (1.0 - out_data))
 
         return Tensor._make(out_data, (a,), "sigmoid", backward)
 
@@ -306,7 +308,7 @@ class Tensor:
         out_data += 0.0  # -0.0 -> +0.0, so the output equals np.where(x > 0, x, 0.0)
 
         def backward(g):
-            a._accumulate(g * (out_data > 0), fresh=True)
+            a._accumulate(g * (out_data > 0))
 
         return Tensor._make(out_data, (a,), "relu", backward)
 
@@ -316,7 +318,7 @@ class Tensor:
         mask = a.data > floor
 
         def backward(g):
-            a._accumulate(g * mask, fresh=True)
+            a._accumulate(g * mask)
 
         return Tensor._make(np.maximum(a.data, floor), (a,), "maximum", backward)
 
@@ -326,10 +328,10 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape).copy(), fresh=True)
+                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape).copy())
             else:
                 gg = g if keepdims else np.expand_dims(g.reshape(out.shape), axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape).copy(), fresh=True)
+                a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
 
         return Tensor._make(out, (a,), "sum", backward)
 
@@ -340,10 +342,10 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape) / n, fresh=True)
+                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape) / n)
             else:
                 gg = g if keepdims else np.expand_dims(g.reshape(out.shape), axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape) / n, fresh=True)
+                a._accumulate(np.broadcast_to(gg, a.data.shape) / n)
 
         return Tensor._make(out, (a,), "mean", backward)
 
@@ -361,7 +363,7 @@ class Tensor:
 
         def backward(g):
             dot = np.sum(g * out_data, axis=-1, keepdims=True)
-            a._accumulate(out_data * (g - dot), fresh=True)
+            a._accumulate(out_data * (g - dot))
 
         return Tensor._make(out_data, (a,), "softmax", backward)
 
@@ -429,10 +431,12 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
     weight is [C_out, C_in, K] with odd K; symmetric zero padding of
     (K-1)//2 * dilation on each side keeps the time axis length. With a
     `mask` ([B, T]) padded input frames read as zeros, so each utterance's
-    kernel edges see exactly what its own zero padding gives. A pointwise
-    kernel (K=1) is one batched matmul over [N, C, T]; wider kernels stack
-    im2col columns so the whole batch is one matmul. Either way the weight
-    and bias gradients are one product over [C, N*T].
+    kernel edges see exactly what its own zero padding gives. Every width is
+    one sum over taps, out = sum_i W[:, :, i] @ xp[..., i*d : i*d + T], of
+    batched matmuls over shifted views of one zero-padded input `xp` (x
+    itself when there is nothing to pad or mask, as at K=1). Backward keeps
+    only `xp`: dx is the same tap sum over zero-padded g with the transposed
+    taps in reverse order, and dW[:, :, i] is one product over N*T per tap.
     """
     if x.data.ndim < 2 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d expects x[..., C, T], w[Co,Ci,K]; "
@@ -447,24 +451,26 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
         raise ConfigError(f"conv1d dilation must be >= 1, got {dilation}")
     t = x.data.shape[-1]
     pad = (k - 1) // 2 * dilation
-    xb = x.data.reshape(-1, c_in, t)
+
+    def padded(a):              # [N, C, T] -> [N, C, T + 2*pad], zero outside
+        if not pad:
+            return a
+        ap = np.zeros(a.shape[:-1] + (t + 2 * pad,))
+        ap[..., pad:pad + t] = a
+        return ap
+
+    def tap_sum(w, ap):         # sum_i w[i] @ ap[..., i*d : i*d + T], batched over N
+        out = np.matmul(w[0], ap[..., :t])
+        for i in range(1, k):
+            out += np.matmul(w[i], ap[..., i * dilation:i * dilation + t])
+        return out
+
     keep = None if mask is None else np.asarray(mask, dtype=np.float64).reshape(-1, 1, t)
-    if keep is not None:
-        xb = xb * keep
-    n = xb.shape[0]
-    w_flat = weight.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-    if k == 1:
-        col = xb  # [N, C_in, T]; flattened to [C_in, N*T] in backward
-        out_data = np.matmul(w_flat, xb)
-    else:
-        xp = np.zeros((c_in, n, t + 2 * pad))
-        xp[:, :, pad:pad + t] = xb.transpose(1, 0, 2)
-        # im2col: col[(k, c), (b, t)]
-        col = np.empty((k * c_in, n, t))
-        for i in range(k):
-            col[i * c_in:(i + 1) * c_in] = xp[:, :, i * dilation:i * dilation + t]
-        col = col.reshape(k * c_in, n * t)
-        out_data = np.ascontiguousarray((w_flat @ col).reshape(c_out, n, t).transpose(1, 0, 2))
+    xb = x.data.reshape(-1, c_in, t)
+    xp = padded(xb if keep is None else xb * keep)
+    n = xp.shape[0]
+    w = np.ascontiguousarray(weight.data.transpose(2, 0, 1))   # [K, C_out, C_in] taps
+    out_data = tap_sum(w, xp)
     parents = [x, weight]
     if bias is not None:
         out_data += bias.data[:, None]
@@ -474,26 +480,75 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
         g = g.reshape(n, c_out, t)
         g_flat = g.transpose(1, 0, 2).reshape(c_out, n * t)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g_flat.sum(axis=1), fresh=True)
+            bias._accumulate(g_flat.sum(axis=1))
         if weight.requires_grad:
-            cols = col.transpose(1, 0, 2).reshape(c_in, n * t) if k == 1 else col
-            weight._accumulate((g_flat @ cols.T).reshape(c_out, k, c_in).transpose(0, 2, 1),
-                               fresh=True)
+            dw = np.empty(weight.data.shape)
+            for i in range(k):                # one [C_out, N*T] x [N*T, C_in] product per tap
+                tap = xp[..., i * dilation:i * dilation + t]
+                dw[:, :, i] = g_flat @ tap.transpose(1, 0, 2).reshape(c_in, n * t).T
+            weight._accumulate(dw)
         if x.requires_grad:
-            if k == 1:
-                dx = np.matmul(w_flat.T, g)
-            else:
-                dcol = (w_flat.T @ g_flat).reshape(k * c_in, n, t)
-                dxp = np.zeros((c_in, n, t + 2 * pad))
-                for i in range(k):
-                    dxp[:, :, i * dilation:i * dilation + t] += dcol[i * c_in:(i + 1) * c_in]
-                dx = np.ascontiguousarray(dxp[:, :, pad:pad + t].transpose(1, 0, 2))
+            # Tap i reads xp[t + i*d], so dx[t] sums tap K-1-i, transposed, over padded g[t + i*d].
+            dx = tap_sum(w[::-1].transpose(0, 2, 1), padded(g))
             if keep is not None:
                 dx *= keep
-            x._accumulate(dx.reshape(x.data.shape), fresh=True)
+            x._accumulate(dx.reshape(x.data.shape))
 
     return Tensor._make(out_data.reshape(x.data.shape[:-2] + (c_out, t)), parents,
                         f"conv1d(d={dilation})", backward)
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tuple, count,
+               keep, op: str) -> Tensor:
+    """The normalisation node behind group_norm and layer_norm.
+
+    x is viewed as `grouped` [N, G, C/G, T]. Each (utterance, group) block is normalised over
+    its `count` values (only its frames where `keep`, [N, 1, 1, T] or None, is 1; the others
+    come out 0), then scaled by gamma and shifted by beta per channel. Forward uses two
+    full-size buffers, scratch that becomes the output and `xhat`; backward builds dx in
+    dxhat's buffer and the gamma product in a second one.
+    """
+    axes = (-2, -1)
+    xg = x.data.reshape(grouped)
+    scale = gamma.data.reshape(xg.shape[1], -1, 1)
+    buf = np.empty(xg.shape)
+    kept = xg if keep is None else np.multiply(xg, keep, out=buf)
+    mu = kept.sum(axis=axes, keepdims=True) / count
+    np.subtract(xg, mu, out=buf)
+    if keep is not None:
+        buf *= keep
+    xhat = np.multiply(buf, buf)
+    rstd = 1.0 / np.sqrt(xhat.sum(axis=axes, keepdims=True) / count + eps)
+    np.multiply(buf, rstd, out=xhat)
+    out_data = np.multiply(xhat, scale, out=buf)
+    out_data += beta.data.reshape(scale.shape)
+    if keep is not None:
+        out_data *= keep
+
+    def backward(g):
+        g = g.reshape(xg.shape)
+        if keep is not None:
+            g = g * keep  # padded outputs are constant zeros
+        prod = None
+        if gamma.requires_grad:
+            prod = np.multiply(g, xhat)
+            gamma._accumulate(prod.sum(axis=(0, 3)).reshape(gamma.data.shape))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=(0, 3)).reshape(beta.data.shape))
+        if x.requires_grad:
+            # dx = (dxhat - sum(dxhat)/count - xhat * (sum(dxhat*xhat)/count)) * rstd * keep
+            dx = np.multiply(g, scale, out=g if keep is not None else None)
+            term = np.multiply(dx, xhat, out=prod)
+            mean_dxhat = dx.sum(axis=axes, keepdims=True) / count
+            np.multiply(xhat, term.sum(axis=axes, keepdims=True) / count, out=term)
+            dx -= mean_dxhat
+            dx -= term
+            dx *= rstd
+            if keep is not None:
+                dx *= keep
+            x._accumulate(dx.reshape(x.data.shape))
+
+    return Tensor._make(out_data.reshape(x.data.shape), (x, gamma, beta), op, backward)
 
 
 def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
@@ -501,8 +556,7 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
     """GroupNorm over [..., C, T]: per-group stats over the group's channels x all time steps.
 
     With a `mask` ([B, T]) the statistics cover valid frames only and padded
-    frames come out as exact zeros. One node with a hand-derived backward; forward builds
-    the output in one full-size buffer and keeps `xhat` in a second, backward uses two.
+    frames come out as exact zeros. One `_normalize` node, two full-size buffers each way.
     """
     if x.data.ndim < 2:
         raise ShapeError(f"group_norm expects [..., C, T], got shape {x.data.shape}")
@@ -511,92 +565,19 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
         raise ConfigError(f"group_norm: {c} channels not divisible by {num_groups} groups")
     if eps <= 0:
         raise ConfigError(f"group_norm eps must be > 0, got {eps}")
-    shape = x.data.shape
-    grouped = shape[:-2] + (num_groups, c // num_groups, t)
-    stat_axes = (-2, -1)
-    channel_axes = tuple(range(len(shape) - 2)) + (len(shape) - 1,)
-    if mask is None:
-        keep, out_mask, count = None, None, c // num_groups * t
-    else:
-        valid = np.asarray(mask, dtype=np.float64)
-        keep = valid.reshape(valid.shape[:-1] + (1, 1, t))       # grouped layout
-        out_mask = valid.reshape(valid.shape[:-1] + (1, t))      # [..., C, T] layout
+    keep, count = None, c // num_groups * t
+    if mask is not None:
+        keep = np.asarray(mask, dtype=np.float64).reshape(-1, 1, 1, t)
         count = c // num_groups * keep.sum(axis=-1, keepdims=True)
-    xg = x.data.reshape(grouped)
-    buf = np.empty(grouped)
-    kept = xg if keep is None else np.multiply(xg, keep, out=buf)
-    mu = kept.sum(axis=stat_axes, keepdims=True) / count
-    np.subtract(xg, mu, out=buf)
-    if keep is not None:
-        buf *= keep
-    xhat = np.multiply(buf, buf)
-    rstd = 1.0 / np.sqrt(xhat.sum(axis=stat_axes, keepdims=True) / count + eps)
-    np.multiply(buf, rstd, out=xhat)
-    xhat = xhat.reshape(shape)
-    scale = gamma.data.reshape(c, 1)
-    out_data = buf.reshape(shape)
-    np.multiply(xhat, scale, out=out_data)
-    out_data += beta.data.reshape(c, 1)
-    if out_mask is not None:
-        out_data *= out_mask
-
-    def backward(g):
-        if out_mask is not None:
-            g = g * out_mask  # padded outputs are constant zeros
-        prod = None
-        if gamma.requires_grad:
-            prod = np.multiply(g, xhat)
-            gamma._accumulate(prod.sum(axis=channel_axes), fresh=True)
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=channel_axes), fresh=True)
-        if x.requires_grad:
-            # dx = (dxhat - sum(dxhat)/count - (xhat * sum(dxhat*xhat))/count) * rstd * keep,
-            # built in place in dxhat's buffer with the same op order.
-            dx = np.multiply(g, scale, out=g if out_mask is not None else None)
-            term = np.multiply(dx, xhat, out=prod).reshape(grouped)
-            dx = dx.reshape(grouped)
-            mean_dxhat = dx.sum(axis=stat_axes, keepdims=True) / count
-            np.multiply(xhat.reshape(grouped), term.sum(axis=stat_axes, keepdims=True), out=term)
-            term /= count
-            dx -= mean_dxhat
-            dx -= term
-            dx *= rstd
-            if keep is not None:
-                dx *= keep
-            x._accumulate(dx.reshape(shape), fresh=True)
-
-    return Tensor._make(out_data, (x, gamma, beta), "group_norm", backward)
+    return _normalize(x, gamma, beta, eps, (-1, num_groups, c // num_groups, t), count, keep,
+                      "group_norm")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row LayerNorm over the feature (last) axis of [..., d]; one node, two buffers as
-    in group_norm."""
+    """Per-row LayerNorm over the feature (last) axis of [..., d]: the unmasked `_normalize`
+    with one group of d channels and one frame per row."""
     d = x.data.shape[-1]
-    buf = x.data - x.data.mean(axis=-1, keepdims=True)
-    xhat = np.multiply(buf, buf)
-    rstd = 1.0 / np.sqrt(xhat.mean(axis=-1, keepdims=True) + eps)
-    np.multiply(buf, rstd, out=xhat)
-    np.multiply(xhat, gamma.data, out=buf)
-    buf += beta.data
-
-    def backward(g):
-        prod = None
-        if gamma.requires_grad:
-            prod = np.multiply(g, xhat)
-            gamma._accumulate(prod.reshape(-1, d).sum(axis=0), fresh=True)
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, d).sum(axis=0), fresh=True)
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            term = np.multiply(dxhat, xhat, out=prod)
-            mean_term = term.mean(axis=-1, keepdims=True)
-            dxhat -= dxhat.mean(axis=-1, keepdims=True)
-            np.multiply(xhat, mean_term, out=term)
-            dxhat -= term
-            dxhat *= rstd
-            x._accumulate(dxhat, fresh=True)
-
-    return Tensor._make(buf, (x, gamma, beta), "layer_norm", backward)
+    return _normalize(x, gamma, beta, eps, (-1, 1, d, 1), d, None, "layer_norm")
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
@@ -668,7 +649,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=N
                     np.matmul(np.swapaxes(ds, -1, -2), qf[blk], out=dk[blk])
         for tensor, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
-                tensor._accumulate(merge(grad), fresh=True)
+                tensor._accumulate(merge(grad))
 
     return Tensor._make(merge(out), (q, k, v), "attention", backward)
 

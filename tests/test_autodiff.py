@@ -90,25 +90,39 @@ class TestBasics:
         np.testing.assert_array_equal(b.grad, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
 
-    def test_fresh_contiguous_gradient_is_adopted(self):
+    def test_contiguous_first_gradient_is_adopted(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
-        fresh = np.ones((2, 3))
-        x._accumulate(fresh, fresh=True)
-        assert x.grad is fresh
+        first = np.ones((2, 3))
+        x._accumulate(first)
+        assert x.grad is first
         y = Tensor(np.zeros((3, 2)), requires_grad=True)
         strided = np.ones((2, 3)).T
-        y._accumulate(strided, fresh=True)
+        y._accumulate(strided)
         assert not np.shares_memory(y.grad, strided) and y.grad.flags.c_contiguous
+
+    def test_backward_seed_shape_must_match(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        y = x * 2.0
+        for seed in (np.ones(2), np.array([2.0])):     # numpy would raise / broadcast these
+            with pytest.raises(ShapeError) as err:
+                y.backward(seed)
+            assert str(seed.shape) in str(err.value) and "(3,)" in str(err.value)
+        assert x.grad is None
 
     def test_fan_out_gradients_are_private(self):
         rng = np.random.default_rng(10)
-        arrays = [rng.uniform(-1.0, 1.0, size=shape) for shape in ((3, 4), (3, 4), (4, 3), (16,))]
+        shapes = ((3, 4), (3, 4), (4, 3), (16,), (16,))
+        arrays = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
 
-        def loss(a, b, c, d):
+        def loss(a, b, c, d, e):
             s = a + b                          # both sides of one add
             t = (s.T + c).relu() @ s           # s consumed twice; T hands a view of g
             u = t.reshape(16) + d              # reshape hands a view of g
-            return (u * u).sum()               # u consumed twice by one mul
+            v = d + t.reshape(16)              # an add whose second parent is a reshape
+            w = concat([s, s], axis=0)         # two contiguous slices of one g, both to s
+            x = e + e                          # one leaf on both sides of one add
+            # u consumed twice by one mul; t gets a gradient after its reshapes' views
+            return (u * u).sum() + (v * x).sum() + (w * w).sum() + (t * t).sum()
 
         leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
         seed = np.array([2.0])
@@ -122,6 +136,8 @@ class TestBasics:
 
             assert relative_error(leaf.grad, finite_difference_gradient(f, arrays[i])) < 1e-6
         for i, leaf in enumerate(leaves):
+            assert not np.shares_memory(leaf.grad, seed)
+            assert not any(np.shares_memory(leaf.grad, other.grad) for other in leaves[i + 1:])
             leaf.grad[...] = float(i)
         for i, leaf in enumerate(leaves):
             assert np.all(leaf.grad == float(i))
@@ -482,6 +498,25 @@ def padded_batch(rng, lengths, width, t_max, time_axis):
 LENGTHS = (5, 2, 7)
 
 
+def conv_reference(x, w, b, dilation, mask=None):
+    """Direct conv1d: each output frame sums w[:, :, i] @ x[..., t + (i - K//2) * dilation]
+    over the taps that land on a frame inside the utterance's valid length."""
+    c_out, _, k = w.shape
+    xb = x.reshape((-1,) + x.shape[-2:])
+    n, _, t_len = xb.shape
+    valid = np.ones((n, t_len), bool) if mask is None else np.asarray(mask, bool).reshape(n, t_len)
+    out = np.empty((n, c_out, t_len))
+    for u in range(n):
+        for t in range(t_len):
+            acc = b.copy()
+            for i in range(k):
+                src = t + (i - k // 2) * dilation
+                if 0 <= src < t_len and valid[u, src]:
+                    acc += w[:, :, i] @ xb[u, :, src]
+            out[u, :, t] = acc
+    return out.reshape(x.shape[:-2] + (c_out, t_len))
+
+
 class TestFusedOps:
     """Fused ops against their composed references (forward) and FD (backward)."""
 
@@ -692,21 +727,62 @@ class TestBatchedPrimitives:
         fd_check(lambda w: conv1d_dilated(Tensor(x0), w, Tensor(b0), 2, mask=mask), w0)
         fd_check(lambda b: conv1d_dilated(Tensor(x0), Tensor(w0), b, 2, mask=mask), b0)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("masked", [False, True])
-    def test_pointwise_conv_matches_im2col(self, masked):
+    def test_conv_matches_direct_reference(self, k, dilation, masked):
+        rng = np.random.default_rng(100 * k + dilation)
+        x, mask = padded_batch(rng, LENGTHS, 3, 7, time_axis=2)
+        x += 5.0 * (1.0 - mask[:, None, :])   # junk padding
+        w, b = rng.normal(size=(2, 3, k)), rng.normal(size=2)
+        for xin, m in ((x, mask), (x[1], mask[1:2])):   # [B, C, T] and [C, T]
+            m = m if masked else None
+            out = conv1d_dilated(Tensor(xin), Tensor(w), Tensor(b), dilation, mask=m).data
+            np.testing.assert_allclose(out, conv_reference(xin, w, b, dilation, m),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_wide_dilated_conv_grads(self, trial):
+        rng = np.random.default_rng(15200 + trial)
+        x0, mask = padded_batch(rng, LENGTHS, 3, 7, time_axis=2)
+        x0 += rng.uniform(-1.0, 1.0, size=x0.shape) * (1.0 - mask[:, None, :])  # junk padding
+        w0 = rng.uniform(-1.0, 1.0, size=(2, 3, 5))
+        b0 = rng.uniform(-1.0, 1.0, size=2)
+        fd_check(lambda x: conv1d_dilated(x, Tensor(w0), Tensor(b0), 2, mask=mask), x0)
+        fd_check(lambda w: conv1d_dilated(Tensor(x0), w, Tensor(b0), 2, mask=mask), w0)
+        fd_check(lambda b: conv1d_dilated(Tensor(x0), Tensor(w0), b, 2, mask=mask), b0)
+
+    def test_conv_keeps_only_the_padded_input(self):
+        rng = np.random.default_rng(21)
+        shape = (8, 16, 200)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 16, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=16), requires_grad=True)
+        mask = np.arange(200) < np.arange(130, 210, 10)[:, None]
+        full, slack = x.data.nbytes, x.data.nbytes // 8
+        padded = full // 200 * (200 + 2 * 4)
+        retained, peak = traced_bytes(lambda: conv1d_dilated(x, w, b, 4, mask=mask), shape)
+        assert retained <= full + padded + slack     # the output and the padded input
+        assert peak < 4.5 * full
+        with no_grad():
+            retained, _ = traced_bytes(lambda: conv1d_dilated(x, w, b, 4, mask=mask), shape)
+        assert retained <= full + slack               # the output only
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_pointwise_conv_matches_zero_padded_wide_kernel(self, masked):
         rng = np.random.default_rng(5)
         x, mask = padded_batch(rng, LENGTHS, 3, 7, time_axis=2)
         x += 5.0 * (1.0 - mask[:, None, :])   # junk padding
         w = rng.normal(size=(2, 3, 1))
         wide = np.zeros((2, 3, 3))
-        wide[:, :, 1:2] = w                    # K=3 with zero side taps runs im2col
+        wide[:, :, 1:2] = w                    # K=3 with zero side taps reads padded edges
         b = Tensor(rng.normal(size=2))
         for xin, m in ((x, mask), (x[1], mask[1:2])):   # [B, C, T] and [C, T]
             m = m if masked else None
             pointwise = conv1d_dilated(Tensor(xin), Tensor(w), b, mask=m).data
-            im2col = conv1d_dilated(Tensor(xin), Tensor(wide), b, mask=m).data
-            np.testing.assert_allclose(pointwise, im2col, rtol=0, atol=1e-12)
-            assert pointwise.flags.c_contiguous and im2col.flags.c_contiguous
+            padded = conv1d_dilated(Tensor(xin), Tensor(wide), b, mask=m).data
+            np.testing.assert_allclose(pointwise, padded, rtol=0, atol=1e-12)
+            assert pointwise.flags.c_contiguous and padded.flags.c_contiguous
 
     @pytest.mark.parametrize("trial", range(10))
     @pytest.mark.parametrize("masked", [False, True])
