@@ -327,11 +327,9 @@ class Tensor:
         out = np.sum(a.data, axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g.reshape(out.shape), axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g.reshape(out.shape), axis)
+            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
         return Tensor._make(out, (a,), "sum", backward)
 
@@ -341,11 +339,9 @@ class Tensor:
         out = np.mean(a.data, axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g.reshape(1), a.data.shape) / n)
-            else:
-                gg = g if keepdims else np.expand_dims(g.reshape(out.shape), axis)
-                a._accumulate(np.broadcast_to(gg, a.data.shape) / n)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g.reshape(out.shape), axis)
+            a._accumulate(np.broadcast_to(g, a.data.shape) / n)
 
         return Tensor._make(out, (a,), "mean", backward)
 
@@ -436,7 +432,8 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
     batched matmuls over shifted views of one zero-padded input `xp` (x
     itself when there is nothing to pad or mask, as at K=1). Backward keeps
     only `xp`: dx is the same tap sum over zero-padded g with the transposed
-    taps in reverse order, and dW[:, :, i] is one product over N*T per tap.
+    taps in reverse order, and dW[:, :, i] sums g[n] @ tap_i[n]^T over utterances,
+    with BLAS reading each tap's strided view of `xp` in place.
     """
     if x.data.ndim < 2 or weight.data.ndim != 3:
         raise ShapeError(f"conv1d expects x[..., C, T], w[Co,Ci,K]; "
@@ -478,15 +475,18 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
 
     def backward(g):
         g = g.reshape(n, c_out, t)
-        g_flat = g.transpose(1, 0, 2).reshape(c_out, n * t)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g_flat.sum(axis=1))
+            bias._accumulate(np.einsum("not->o", g))
         if weight.requires_grad:
-            dw = np.empty(weight.data.shape)
-            for i in range(k):                # one [C_out, N*T] x [N*T, C_in] product per tap
-                tap = xp[..., i * dilation:i * dilation + t]
-                dw[:, :, i] = g_flat @ tap.transpose(1, 0, 2).reshape(c_in, n * t).T
-            weight._accumulate(dw)
+            # In chunks of utterances: a whole-batch [N, C_out, C_in] product outgrows x at small
+            # T, so each chunk's stays within BLOCK_ELEMENTS.
+            rows = max(1, BLOCK_ELEMENTS // (c_out * c_in))
+            dw = np.zeros((k, c_out, c_in))
+            for i in range(k):
+                tap = np.swapaxes(xp[..., i * dilation:i * dilation + t], -1, -2)
+                for lo in range(0, n, rows):
+                    dw[i] += np.matmul(g[lo:lo + rows], tap[lo:lo + rows]).sum(axis=0)
+            weight._accumulate(dw.transpose(1, 2, 0))
         if x.requires_grad:
             # Tap i reads xp[t + i*d], so dx[t] sums tap K-1-i, transposed, over padded g[t + i*d].
             dx = tap_sum(w[::-1].transpose(0, 2, 1), padded(g))
@@ -498,52 +498,61 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
                         f"conv1d(d={dilation})", backward)
 
 
-def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tuple, count,
-               keep, op: str) -> Tensor:
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tuple, keep,
+               op: str) -> Tensor:
     """The normalisation node behind group_norm and layer_norm.
 
     x is viewed as `grouped` [N, G, C/G, T]. Each (utterance, group) block is normalised over
-    its `count` values (only its frames where `keep`, [N, 1, 1, T] or None, is 1; the others
-    come out 0), then scaled by gamma and shifted by beta per channel. Forward uses two
-    full-size buffers, scratch that becomes the output and `xhat`; backward builds dx in
-    dxhat's buffer and the gamma product in a second one.
+    its frames where `keep` ([N, 1, 1, T], or None for all) is 1; the others come out 0. Then
+    each channel is scaled by gamma and shifted by beta. Forward makes two full-size buffers,
+    the output and d = (x - mu) * keep, which backward keeps with the per-group rstd instead
+    of xhat. Backward takes dbeta, dgamma and two per-group means from per-(utterance, channel)
+    sums of g and g * d, and builds dx in dx and one scratch buffer.
     """
-    axes = (-2, -1)
     xg = x.data.reshape(grouped)
-    scale = gamma.data.reshape(xg.shape[1], -1, 1)
-    buf = np.empty(xg.shape)
-    kept = xg if keep is None else np.multiply(xg, keep, out=buf)
-    mu = kept.sum(axis=axes, keepdims=True) / count
-    np.subtract(xg, mu, out=buf)
-    if keep is not None:
-        buf *= keep
-    xhat = np.multiply(buf, buf)
-    rstd = 1.0 / np.sqrt(xhat.sum(axis=axes, keepdims=True) / count + eps)
-    np.multiply(buf, rstd, out=xhat)
-    out_data = np.multiply(xhat, scale, out=buf)
+    n, groups, width, t = xg.shape
+    flat = (n, groups, width * t)         # per-group factors broadcast over one long axis
+    scale = gamma.data.reshape(groups, width, 1)
+    count = width * (t if keep is None else keep.reshape(n, 1, t).sum(axis=-1))
+    d = xg.copy() if keep is None else xg * keep
+    mu = d.reshape(flat).sum(axis=-1) / count
+    d -= mu[..., None, None] if keep is None else mu[..., None, None] * keep
+    df = d.reshape(flat)
+    rstd = 1.0 / np.sqrt(np.einsum("ngk,ngk->ng", df, df) / count + eps)    # [N, G]
+
+    def scaled(a):      # a * rstd * gamma; at T=1 (LayerNorm) a per-(row, channel) factor
+        if t > 1:       # would be full-size, so scale twice instead
+            return a * (rstd[..., None, None] * scale)
+        out = a * scale
+        np.multiply(out.reshape(flat), rstd[..., None], out=out.reshape(flat))
+        return out
+
+    out_data = scaled(d)
     out_data += beta.data.reshape(scale.shape)
     if keep is not None:
         out_data *= keep
 
     def backward(g):
         g = g.reshape(xg.shape)
-        if keep is not None:
-            g = g * keep  # padded outputs are constant zeros
-        prod = None
-        if gamma.requires_grad:
-            prod = np.multiply(g, xhat)
-            gamma._accumulate(prod.sum(axis=(0, 3)).reshape(gamma.data.shape))
+        if keep is not None:     # padded outputs are constant zeros: their g counts nowhere
+            g_sum = np.einsum("ngwt,nt->ngw", g, keep.reshape(n, t))
+        else:                    # one frame per row: the sum over time is g itself
+            g_sum = np.einsum("ngwt->ngw", g) if t > 1 else g[..., 0]
+        gd_sum = np.einsum("ngwt,ngwt->ngw", g, d)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(0, 3)).reshape(beta.data.shape))
+            beta._accumulate(g_sum.sum(axis=0).reshape(beta.data.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(np.einsum("ngw,ng->gw", gd_sum, rstd).reshape(gamma.data.shape))
         if x.requires_grad:
-            # dx = (dxhat - sum(dxhat)/count - xhat * (sum(dxhat*xhat)/count)) * rstd * keep
-            dx = np.multiply(g, scale, out=g if keep is not None else None)
-            term = np.multiply(dx, xhat, out=prod)
-            mean_dxhat = dx.sum(axis=axes, keepdims=True) / count
-            np.multiply(xhat, term.sum(axis=axes, keepdims=True) / count, out=term)
-            dx -= mean_dxhat
-            dx -= term
-            dx *= rstd
+            # With dxhat = g * gamma, M1 = mean(dxhat) and M2 = mean(dxhat * d) per group,
+            # dx = (dxhat - M1 - xhat * rstd * M2) * rstd * keep; m1 = rstd M1, m2 = rstd^3 M2.
+            m1 = np.einsum("ngw,gw->ng", g_sum, scale[..., 0]) * (rstd / count)
+            m2 = np.einsum("ngw,gw->ng", gd_sum, scale[..., 0]) * (rstd ** 3 / count)
+            del g_sum, gd_sum             # full-size for LayerNorm
+            dx = scaled(g)
+            dx_flat = dx.reshape(flat)
+            dx_flat -= np.multiply(df, m2[..., None])
+            dx_flat -= m1[..., None]
             if keep is not None:
                 dx *= keep
             x._accumulate(dx.reshape(x.data.shape))
@@ -565,30 +574,42 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
         raise ConfigError(f"group_norm: {c} channels not divisible by {num_groups} groups")
     if eps <= 0:
         raise ConfigError(f"group_norm eps must be > 0, got {eps}")
-    keep, count = None, c // num_groups * t
-    if mask is not None:
-        keep = np.asarray(mask, dtype=np.float64).reshape(-1, 1, 1, t)
-        count = c // num_groups * keep.sum(axis=-1, keepdims=True)
-    return _normalize(x, gamma, beta, eps, (-1, num_groups, c // num_groups, t), count, keep,
+    keep = None if mask is None else np.asarray(mask, dtype=np.float64).reshape(-1, 1, 1, t)
+    return _normalize(x, gamma, beta, eps, (-1, num_groups, c // num_groups, t), keep,
                       "group_norm")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row LayerNorm over the feature (last) axis of [..., d]: the unmasked `_normalize`
     with one group of d channels and one frame per row."""
-    d = x.data.shape[-1]
-    return _normalize(x, gamma, beta, eps, (-1, 1, d, 1), d, None, "layer_norm")
+    return _normalize(x, gamma, beta, eps, (-1, 1, x.data.shape[-1], 1), None, "layer_norm")
+
+
+def _prefix_lengths(mask, utterances: int, t: int) -> np.ndarray:
+    """Valid length of each row of an attention `mask` ([B, T], true on a prefix of frames)."""
+    valid = np.asarray(mask).astype(bool)
+    if valid.size != utterances * t:
+        raise ShapeError(f"attention mask {valid.shape} does not fit {utterances} x {t} frames")
+    lengths = valid.reshape(utterances, t).sum(axis=1)
+    bad = np.flatnonzero((valid.reshape(utterances, t) != (np.arange(t) < lengths[:, None])).any(1))
+    if bad.size:
+        raise ShapeError(f"attention mask row {bad[0]} is not a prefix of valid frames")
+    if lengths.min() == 0:
+        raise NumericError(f"attention: mask row {np.argmin(lengths)} has no valid frame")
+    return lengths
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
     """Scaled dot-product self-attention over [..., T, d] split into `num_heads` heads.
 
-    With a `mask` ([B, T]) padded keys get probability 0 in every query's
-    softmax. One node. The (utterance, head) pairs run in tiles of about
-    BLOCK_ELEMENTS scores (~1 MB), so each tile's [rows, T, T] softmax stays
-    in cache through the exp and the normalisation; the tile's softmax is
-    kept for backward only when a gradient is wanted, and backward walks the
-    same tiles.
+    A `mask` ([B, T]) marks each utterance's valid frames, a prefix of length
+    n. One node. The (utterance, head) pairs are sorted by n and run in tiles
+    of one n and about BLOCK_ELEMENTS scores (~1 MB), so a tile's scores stay
+    in cache. A tile computes only its [:n, :n] scores: padded query rows
+    come out 0 with no gradient, and each pair's result is bit-identical to
+    its unpadded run whatever its tile-mates. e = exp(s - max s) is kept
+    unnormalised (for backward too, only when a gradient is wanted); its row
+    sums divide the [n, d/H] output, and backward reads rowsum(p * dp) off it.
     """
     shape = q.data.shape
     if q.data.ndim < 2 or k.data.shape != shape or v.data.shape != shape:
@@ -599,54 +620,59 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=N
     t = shape[-2]
     head_dim = shape[-1] // num_heads
     inv_scale = 1.0 / np.sqrt(head_dim)
+    utterances = q.data.size // (t * shape[-1])
+    lengths = np.full(utterances, t) if mask is None else _prefix_lengths(mask, utterances, t)
+    # Python's sorts, not np.argsort/np.unique, whose first calls add 0.17/1.6 MB of RSS.
+    order = sorted(range(utterances), key=lengths.__getitem__)     # stable, by length
+    rank = sorted(range(utterances), key=order.__getitem__)        # its inverse
 
-    def split(a):      # [..., T, d] -> [N*H, T, d/H], one row per (utterance, head)
-        return np.swapaxes(a.reshape(-1, t, num_heads, head_dim), 1, 2).reshape(-1, t, head_dim)
+    def split(a):      # [..., T, d] -> [N*H, T, d/H], one row per (utterance, head), by length
+        heads = np.empty((utterances, num_heads, t, head_dim))
+        heads[rank] = np.swapaxes(a.reshape(-1, t, num_heads, head_dim), 1, 2)
+        return heads.reshape(-1, t, head_dim)
 
-    def merge(a):      # [N*H, T, d/H] -> [..., T, d]
-        return np.swapaxes(a.reshape(-1, num_heads, t, head_dim), 1, 2).reshape(shape)
+    def merge(a):      # [N*H, T, d/H] -> [..., T, d], back in utterance order
+        frames = np.empty((utterances, t, num_heads, head_dim))
+        frames[order] = np.swapaxes(a.reshape(-1, num_heads, t, head_dim), 1, 2)
+        return frames.reshape(shape)
 
-    qf, kf, vf = split(q.data), split(k.data), split(v.data)
-    hidden = None
-    if mask is not None:   # [N*H, 1, T]: true on padded keys
-        hidden = np.repeat(np.reshape(np.logical_not(mask), (-1, 1, t)), num_heads, axis=0)
-    pairs = qf.shape[0]
-    rows = max(1, BLOCK_ELEMENTS // (t * t))
-    blocks = [slice(lo, min(lo + rows, pairs)) for lo in range(0, pairs, rows)]
+    tiles = []             # (pairs, n): a slice of the sorted pairs, all of length n
+    pair_lengths = np.repeat(lengths[order], num_heads)
+    for n in sorted(set(lengths.tolist())):
+        lo, hi = np.searchsorted(pair_lengths, [n, n + 1])
+        rows = max(1, BLOCK_ELEMENTS // (n * n))
+        tiles += [(slice(a, min(a + rows, hi)), n) for a in range(lo, hi, rows)]
+    qf, kf, vf = split(q.data * inv_scale), split(k.data), split(v.data)
     keep = _grad_mode.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
-    probs = []
-    out = np.empty_like(qf)
-    for blk in blocks:
-        p = qf[blk] @ np.swapaxes(kf[blk], -1, -2)
-        p *= inv_scale
-        if hidden is not None:
-            np.copyto(p, -np.inf, where=hidden[blk])
-        with np.errstate(invalid="ignore"):  # a fully masked row turns NaN; _make rejects it
-            p -= np.max(p, axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= np.sum(p, axis=-1, keepdims=True)
-        np.matmul(p, vf[blk], out=out[blk])
+    saved, out = [], np.zeros_like(qf)
+    for blk, n in tiles:
+        e = qf[blk, :n] @ np.swapaxes(kf[blk, :n], -1, -2)
+        e -= np.max(e, axis=-1, keepdims=True)
+        np.exp(e, out=e)                  # softmax = e / total
+        total = np.sum(e, axis=-1, keepdims=True)
+        np.divide(e @ vf[blk, :n], total, out=out[blk, :n])
         if keep:
-            probs.append(p)
+            saved.append((e, total))
 
     def backward(g):
         # Split again rather than keep the forward's head-major copies alive in the graph.
-        qf, kf, vf, gf = split(q.data), split(k.data), split(v.data), split(g)
-        dq = np.empty_like(qf) if q.requires_grad else None
-        dk = np.empty_like(kf) if k.requires_grad else None
-        dv = np.empty_like(vf) if v.requires_grad else None
-        for blk, p in zip(blocks, probs):
+        # scores = (q * s) k^T, so dq = dscores (k * s) and dk = dscores^T (q * s).
+        qf, kf = split(q.data * inv_scale), split(k.data * inv_scale)
+        vf, gf = split(v.data), split(g)
+        dq, dk, dv = (np.zeros_like(qf) if a.requires_grad else None for a in (q, k, v))
+        for (blk, n), (e, total) in zip(tiles, saved):
+            gb = gf[blk, :n] / total      # with p = e / total, p^T g = e^T gb
             if dv is not None:
-                np.matmul(np.swapaxes(p, -1, -2), gf[blk], out=dv[blk])
+                np.matmul(np.swapaxes(e, -1, -2), gb, out=dv[blk, :n])
             if dq is not None or dk is not None:
-                ds = gf[blk] @ np.swapaxes(vf[blk], -1, -2)
-                ds -= np.sum(ds * p, axis=-1, keepdims=True)
-                ds *= p
-                ds *= inv_scale
+                # dscores = p * (g v^T - rowsum(g * out)) = e * (gb v^T - rowsum(gb * out))
+                ds = gb @ np.swapaxes(vf[blk, :n], -1, -2)
+                ds -= np.sum(gb * out[blk, :n], axis=-1, keepdims=True)
+                ds *= e
                 if dq is not None:
-                    np.matmul(ds, kf[blk], out=dq[blk])
+                    np.matmul(ds, kf[blk, :n], out=dq[blk, :n])
                 if dk is not None:
-                    np.matmul(np.swapaxes(ds, -1, -2), qf[blk], out=dk[blk])
+                    np.matmul(np.swapaxes(ds, -1, -2), qf[blk, :n], out=dk[blk, :n])
         for tensor, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
                 tensor._accumulate(merge(grad))

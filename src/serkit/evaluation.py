@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .datapipe import MERGE_CAP_S, FeatureStore, merge_segments
+from .datapipe import MERGE_CAP_S, load_record_features, merge_segments
 from .errors import DataError
 from .labels import NUM_CLASSES, EmotionLabel
 from .model import ModelOutput
@@ -181,8 +181,7 @@ def _subset_uar_or_nan(cm: ConfusionMatrix, subset) -> float:
 
 
 def evaluate_manifest(models: list, records: list, granularity: str = "fine",
-                      merge_cap_s: float = MERGE_CAP_S,
-                      store: Optional[FeatureStore] = None) -> EvalReport:
+                      merge_cap_s: float = MERGE_CAP_S) -> EvalReport:
     """Score a manifest with an ensemble at fine or merged granularity.
 
     The manifest order is a contiguous timeline of records. Each scored
@@ -194,8 +193,7 @@ def evaluate_manifest(models: list, records: list, granularity: str = "fine",
     """
     if granularity not in ("fine", "merged"):
         raise DataError(f"unknown granularity {granularity!r}")
-    store = store or FeatureStore()
-    outs = [ensemble_predict(models, store.get(record)) for record in records]
+    outs = [ensemble_predict(models, load_record_features(record)) for record in records]
     probs = np.array([out.cat_probs.data for out in outs])
     dims = np.array([out.dim_tensor.data for out in outs])
     refs = np.array([record.dim_array() for record in records])

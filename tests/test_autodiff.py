@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from serkit import autodiff
 from serkit.autodiff import (
@@ -651,6 +653,41 @@ class TestBlockedAttention:
         assert peak < softmax_bytes / 2
 
 
+def _seeded_attention(q0, k0, v0, g0, mask):
+    """Output and q/k/v gradients of one attention node under the backward seed g0."""
+    q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))
+    out = multi_head_attention(q, k, v, 2, mask=mask)
+    out.backward(g0)
+    return out.data, q.grad, k.grad, v.grad
+
+
+class TestAttentionLengths:
+    """Attention reads each utterance's length from its prefix mask and computes on nothing else."""
+
+    @pytest.mark.parametrize("lengths,t_max", [((5, 2, 7, 5, 1), 7), ((131, 200, 64, 131), 200)])
+    @pytest.mark.parametrize("block", [None, 2 * 7 * 7])
+    def test_rows_equal_their_unpadded_run(self, lengths, t_max, block, monkeypatch):
+        if block is not None:   # also split runs of equal length across tiles
+            monkeypatch.setattr(autodiff, "BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(23)
+        q0, k0, v0 = rng.uniform(-1.0, 1.0, size=(3, len(lengths), t_max, 8))   # junk padding
+        g0 = rng.normal(size=q0.shape)
+        mask = np.arange(t_max) < np.array(lengths)[:, None]
+        batch = _seeded_attention(q0, k0, v0, g0, mask)
+        for b, n in enumerate(lengths):
+            single = _seeded_attention(q0[b:b + 1, :n], k0[b:b + 1, :n], v0[b:b + 1, :n],
+                                       g0[b:b + 1, :n], None)
+            for got, want in zip(batch, single):
+                assert np.array_equal(got[b, :n], want[0])
+                assert np.all(got[b, n:] == 0.0)   # padded queries: 0 out, 0 grad to anything
+
+    def test_non_prefix_mask_rejected(self):
+        x = Tensor(np.ones((2, 4, 4)))
+        for mask in (np.array([[1, 1, 1, 1], [1, 0, 1, 0]]), np.ones((2, 3)), np.ones((3, 4))):
+            with pytest.raises(ShapeError, match="attention"):
+                multi_head_attention(x, x, x, 2, mask=mask)
+
+
 NORMS = {
     "group_norm": ((8, 64, 200), lambda x, g, b: group_norm(x, 8, g, b)),
     "group_norm_masked": ((8, 64, 200), lambda x, g, b: group_norm(
@@ -701,6 +738,73 @@ class TestNormBuffers:
         joint = grads({0, 1, 2})
         for i in range(3):
             np.testing.assert_array_equal(joint[i], grads({i})[i])
+
+
+def _norm_case(kind, groups, width, lengths, extra, masked, eps, seed):
+    """(x, gamma, beta, mask, build) for a differential case; padded frames hold junk."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    t, c = lengths.max() + extra, groups * width
+    gamma, beta = rng.uniform(0.5, 1.5, c), rng.uniform(-0.5, 0.5, c)
+    if kind == "layer_norm":
+        return (rng.normal(size=(len(lengths), t, c)), gamma, beta, None,
+                lambda x, g, b: layer_norm(x, g, b, eps=eps))
+    mask = (np.arange(t) < lengths[:, None]) if masked else None
+    return (rng.normal(size=(len(lengths), c, t)), gamma, beta, mask,
+            lambda x, g, b: group_norm(x, groups, g, b, eps=eps, mask=mask))
+
+
+class TestNormDifferential:
+    """The normalisation node against its composed references, FD and itself.
+
+    A block of two values normalises to +-1 up to eps, so its gradient scales with eps; eps
+    stays large enough for central differences to resolve it.
+    """
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["group_norm", "layer_norm"]), groups=st.integers(1, 3),
+           width=st.integers(1, 3), lengths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           extra=st.integers(0, 2), masked=st.booleans(), eps=st.sampled_from([1e-3, 0.1]),
+           seed=st.integers(0, 2**16))
+    @example(kind="group_norm", groups=2, width=2, lengths=[1, 5], extra=0, masked=True,
+             eps=1e-3, seed=0)
+    @example(kind="group_norm", groups=1, width=3, lengths=[1], extra=2, masked=True,
+             eps=1e-3, seed=1)
+    @example(kind="group_norm", groups=3, width=1, lengths=[4, 4], extra=0, masked=False,
+             eps=0.1, seed=2)
+    @example(kind="layer_norm", groups=1, width=4, lengths=[1], extra=0, masked=False,
+             eps=1e-3, seed=3)
+    def test_matches_composed_fd_and_single_grads(self, kind, groups, width, lengths, extra,
+                                                   masked, eps, seed):
+        x0, gamma0, beta0, mask, build = _norm_case(kind, groups, width, lengths, extra,
+                                                    masked, eps, seed)
+        gamma, beta = Tensor(gamma0), Tensor(beta0)
+        fused = build(Tensor(x0), gamma, beta).data
+        for b, n in enumerate(lengths):
+            if kind == "layer_norm":
+                ref, got = composed_layer_norm(Tensor(x0[b]), gamma, beta, eps).data, fused[b]
+            else:
+                n = n if masked else x0.shape[-1]
+                ref = composed_group_norm(Tensor(x0[b, :, :n]), groups, gamma, beta, eps).data
+                got = fused[b, :, :n]
+                assert np.all(fused[b, :, n:] == 0.0)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+        fd_check(lambda x: build(x, Tensor(gamma0), Tensor(beta0)), x0)
+        fd_check(lambda g: build(Tensor(x0), g, Tensor(beta0)), gamma0)
+        fd_check(lambda b: build(Tensor(x0), Tensor(gamma0), b), beta0)
+
+        mix = np.random.default_rng(seed + 1).normal(size=x0.shape)
+
+        def grads(wanted):
+            leaves = [Tensor(a, requires_grad=i in wanted)
+                      for i, a in enumerate((x0, gamma0, beta0))]
+            (build(*leaves) * Tensor(mix)).sum().backward()
+            return [leaf.grad for leaf in leaves]
+
+        joint = grads({0, 1, 2})
+        for i in range(3):
+            assert np.array_equal(joint[i], grads({i})[i])
 
 
 class TestBatchedPrimitives:
