@@ -72,11 +72,11 @@ class DirectoryNoiseSource:
 
         from .datapipe import read_features
 
-        paths = sorted(
-            os.path.join(directory, name)
-            for name in os.listdir(directory)
-            if name.endswith(".serf")
-        )
+        try:
+            names = os.listdir(directory)
+        except OSError as exc:
+            raise ConfigError(f"cannot read noise_dir {directory}: {exc.strerror}") from None
+        paths = sorted(os.path.join(directory, name) for name in names if name.endswith(".serf"))
         if not paths:
             raise DataError(f"no .serf noise files in {directory}")
         self._banks = [read_features(path) for path in paths]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datapipe import open_binary
 from .errors import DataError
 
 log = logging.getLogger("serkit.checkpoint")
@@ -56,9 +57,7 @@ def save_checkpoint(path: str, tensors: dict, meta: CheckpointMeta) -> None:
 
 def load_checkpoint(path: str) -> tuple:
     """Returns (tensors dict, CheckpointMeta)."""
-    if not os.path.exists(path):
-        raise DataError(f"checkpoint not found: {path}")
-    with open(path, "rb") as handle:
+    with open_binary(path) as handle:
         blob = handle.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"bad checkpoint magic in {path}: {blob[:4]!r}")

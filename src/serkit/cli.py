@@ -1,4 +1,4 @@
-"""Command-line surface: train, eval, pseudolabel, gradcheck, report, synth.
+"""Command-line surface: train, eval, relabel, pseudolabel, gradcheck, report, synth.
 
 Every command is deterministic given --seed and its inputs. Exit codes:
 0 success, 1 configuration error, 2 data error, 3 numeric failure; the
@@ -25,7 +25,7 @@ from .datapipe import (
     write_manifest,
 )
 from .errors import ConfigError, DataError, NumericError, SerkitError
-from .evaluation import evaluate_manifest
+from .evaluation import evaluate_manifest, two_pass_relabel
 from .losses import DimTargets
 from .model import SERModel
 from .reporting import read_report_csv, svg_bar_chart, write_report_csv, write_svg
@@ -93,10 +93,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-# -- eval ------------------------------------------------------------------------
+# -- eval / relabel ------------------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
+def _load_ensemble(args) -> tuple:
+    """(config, manifest records, one model per --checkpoint) for `eval` and `relabel`."""
     if not args.checkpoint:
         raise ConfigError("at least one --checkpoint is required")
     cfg = RunConfig.load(args.config, args.set)
@@ -106,6 +107,19 @@ def cmd_eval(args) -> int:
         model = SERModel(cfg.model_config(args.seed))
         load_into_model(path, model, expected_hash=cfg.config_hash())
         models.append(model)
+    return cfg, records, models
+
+
+def _write_labels(out: str, records: list, stats: dict) -> None:
+    """A labeled manifest at `out` and its stats at `out`.stats.json."""
+    write_manifest(out, records)
+    with open(out + ".stats.json", "w", encoding="utf-8") as handle:
+        json.dump(stats, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def cmd_eval(args) -> int:
+    cfg, records, models = _load_ensemble(args)
     report = evaluate_manifest(models, records, granularity=args.granularity,
                                merge_cap_s=cfg["eval.merge_cap_s"])
     write_report_csv(args.report, report)
@@ -117,6 +131,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def cmd_relabel(args) -> int:
+    _, records, models = _load_ensemble(args)
+    relabeled, stats = two_pass_relabel(models, records)
+    _write_labels(args.out, relabeled, stats)
+    print(f"relabeled {stats['n_relabeled']} of {stats['n_total']} utterances "
+          f"({stats['n_changed']} changed, {stats['n_skipped']} skipped)")
+    return 0
+
+
 # -- pseudolabel -------------------------------------------------------------------
 
 
@@ -124,10 +147,7 @@ def cmd_pseudolabel(args) -> int:
     cfg = ConsensusConfig(window_s=args.window_s, hop_s=args.hop_s,
                           min_emotional_fraction=args.min_frac)
     records, stats = pseudo_label_files(args.pred_a, args.pred_b, args.durations, cfg)
-    write_manifest(args.out, records)
-    with open(args.out + ".stats.json", "w", encoding="utf-8") as handle:
-        json.dump(stats, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_labels(args.out, records, stats)
     print(f"pseudo-labeled {len(records)} utterances "
           f"({stats['neutral_fallback_fraction']:.3f} neutral window fraction)")
     return 0
@@ -229,27 +249,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="serkit",
                                      description="Speech emotion recognition desk stack")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --config, --seed and --set: a run configuration, shared by four commands
+    run_args = argparse.ArgumentParser(add_help=False)
+    run_args.add_argument("--config", default=None)
+    run_args.add_argument("--seed", type=int, default=0)
+    run_args.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    ensemble_args = argparse.ArgumentParser(add_help=False, parents=[run_args])
+    ensemble_args.add_argument("--checkpoint", action="append", default=[])
+    ensemble_args.add_argument("--manifest", required=True)
 
-    p_train = sub.add_parser("train", help="train a model from manifests")
-    p_train.add_argument("--config", default=None)
+    p_train = sub.add_parser("train", help="train a model from manifests", parents=[run_args])
     p_train.add_argument("--train", required=True)
     p_train.add_argument("--dev", required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("eval", help="evaluate checkpoint ensemble on a manifest")
-    p_eval.add_argument("--checkpoint", action="append", default=[])
-    p_eval.add_argument("--manifest", required=True)
+    p_eval = sub.add_parser("eval", help="evaluate checkpoint ensemble on a manifest",
+                            parents=[ensemble_args])
     p_eval.add_argument("--report", required=True)
     p_eval.add_argument("--classes", type=int, choices=(7, 4), default=7)
     p_eval.add_argument("--granularity", choices=("fine", "merged"), default="fine")
     p_eval.add_argument("--svg", default=None)
-    p_eval.add_argument("--config", default=None)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p_eval.set_defaults(func=cmd_eval)
+
+    p_relabel = sub.add_parser("relabel", help="relabel a manifest with a checkpoint ensemble",
+                               parents=[ensemble_args])
+    p_relabel.add_argument("--out", required=True)
+    p_relabel.set_defaults(func=cmd_relabel)
 
     p_pseudo = sub.add_parser("pseudolabel", help="windowed two-predictor consensus labels")
     p_pseudo.add_argument("--pred-a", required=True)
@@ -262,15 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pseudo.add_argument("--hop-s", type=float, default=ConsensusConfig.hop_s)
     p_pseudo.set_defaults(func=cmd_pseudolabel)
 
-    p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients",
+                            parents=[run_args])
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
     p_grad.add_argument("--samples", type=int, default=3, help="probed elements per tensor")
     p_grad.add_argument("--frames", type=int, default=12)
     p_grad.add_argument("--batch", type=int, default=2)
     p_grad.add_argument("--step", type=float, default=1e-5)
-    p_grad.add_argument("--config", default=None)
-    p_grad.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p_grad.set_defaults(func=cmd_gradcheck)
 
     p_report = sub.add_parser("report", help="render report CSVs as an SVG bar chart")

@@ -13,7 +13,6 @@ own artifacts.
 from __future__ import annotations
 
 import hashlib
-import os
 
 from .augment import AugmentConfig
 from .datapipe import MERGE_CAP_S, text_lines
@@ -134,8 +133,6 @@ class RunConfig:
     def load(config_path: str | None = None, overrides: list | None = None) -> "RunConfig":
         cfg = RunConfig()
         if config_path:
-            if not os.path.exists(config_path):
-                raise ConfigError(f"config file not found: {config_path}")
             for line_no, line in text_lines(config_path, ConfigError):
                 stripped = line.split("#", 1)[0].strip()
                 if not stripped:

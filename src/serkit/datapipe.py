@@ -15,7 +15,6 @@ its modal emotional label when that label covers enough windows.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import struct
@@ -26,8 +25,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .labels import EMOTIONAL_SET, EMOTIONS, EmotionLabel, parse_predictor_label
-
-log = logging.getLogger("serkit.datapipe")
 
 FEATURE_MAGIC = b"SERF"
 FEATURE_VERSION = 1
@@ -66,10 +63,16 @@ class ManifestRecord:
             raise DataError(f"record id must be a non-empty string, got {self.id!r}")
         if not isinstance(self.features_path, str):
             raise DataError(f"record {self.id}: features_path must be a string")
+        if not self.frames >= 1:
+            raise DataError(f"record {self.id}: frames={self.frames} must be >= 1")
         if not (math.isfinite(self.frame_rate_hz) and self.frame_rate_hz > 0):
             raise DataError(f"record {self.id}: frame_rate_hz={self.frame_rate_hz} is not a "
                             f"finite positive rate")
         EmotionLabel.from_name(self.label)  # validates
+        if self.prev_label is not None:
+            EmotionLabel.from_name(self.prev_label)
+        if self.language is not None and not isinstance(self.language, str):
+            raise DataError(f"record {self.id}: language must be a string, got {self.language!r}")
         if self.split not in VALID_SPLITS:
             raise DataError(f"record {self.id}: bad split {self.split!r}")
         for dim_name in ("arousal", "valence", "dominance"):
@@ -112,12 +115,21 @@ class ManifestRecord:
                               base_dir=base_dir, **{"features_path": "", **optional})
 
 
+def open_binary(path: str, error=DataError):
+    """`open(path, "rb")`; a path that cannot be opened raises `error` naming it."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+
+
 def text_lines(path: str, error=DataError):
     """(line number, text) for each line of a UTF-8 file.
 
-    A line that does not decode raises `error` naming `path:line`.
+    A path that cannot be opened, and a line that does not decode, raise
+    `error` naming the path (and `path:line`).
     """
-    with open(path, "rb") as handle:
+    with open_binary(path, error) as handle:
         for line_no, raw in enumerate(handle, start=1):
             try:
                 line = raw.decode("utf-8")
@@ -131,13 +143,11 @@ def _read_jsonl(path: str, what: str, parse: Callable, key: Optional[Callable] =
     """`parse(obj)` for every line of a JSONL file, each line one JSON object.
 
     Blank lines are skipped. With `key`, two rows with the same `key(row)`
-    are an error. A missing or empty file, bytes that are not UTF-8, bad
+    are an error. An unreadable or empty file, bytes that are not UTF-8, bad
     JSON, a line that is not an object, a duplicate and any KeyError,
     TypeError, ValueError, ArithmeticError or DataError from `parse` all
     raise one DataError naming `path:line`.
     """
-    if not os.path.exists(path):
-        raise DataError(f"{what} not found: {path}")
     rows = []
     seen = set()
     for line_no, line in text_lines(path):
@@ -172,10 +182,19 @@ def read_manifest(path: str) -> list:
 
 
 def write_manifest(path: str, records) -> None:
-    """Write records in deterministic id-sorted order."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    """Write records in deterministic id-sorted order.
+
+    A record read from a manifest (one with a `base_dir`) has its relative
+    `features_path` rewritten relative to `path`'s directory, so the new
+    manifest names the same feature files wherever it is written.
+    """
+    out_dir = os.path.dirname(os.path.abspath(path))
+    os.makedirs(out_dir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for record in sorted(records, key=lambda r: r.id):
+            if record.base_dir is not None and not os.path.isabs(record.features_path):
+                record = replace(record, features_path=os.path.relpath(
+                    record.resolved_features_path(), out_dir))
             handle.write(record.to_json() + "\n")
 
 
@@ -194,9 +213,7 @@ def write_features(path: str, features: np.ndarray) -> None:
 
 
 def read_features(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise DataError(f"feature file not found: {path}")
-    with open(path, "rb") as handle:
+    with open_binary(path) as handle:
         magic = handle.read(4)
         if magic != FEATURE_MAGIC:
             raise DataError(f"bad feature file magic in {path}: {magic!r}")
@@ -448,47 +465,6 @@ def merge_segments(segments: list, cap_s: float = MERGE_CAP_S) -> list:
             t += cap_s
         merged.append((t, end, label))
     return merged
-
-
-def majority_vote(annotations: list) -> tuple:
-    """Three-annotator vote: >= 2 agreeing wins; three-way split -> (Neutral, False)."""
-    if len(annotations) != 3:
-        raise DataError(f"majority vote needs exactly 3 annotations, got {len(annotations)}")
-    for label in annotations:
-        if annotations.count(label) >= 2:
-            return label, True
-    return EmotionLabel.NEUTRAL, False
-
-
-# -- two-pass relabeling ---------------------------------------------------------
-
-
-def two_pass_relabel(records: list, predict: Callable) -> tuple:
-    """Relabel every record with `predict(features) -> (EmotionLabel, (a, v, d))`.
-
-    The pass-1 label is preserved in the provenance field. Records whose
-    feature file cannot be read are skipped and logged.
-    """
-    relabeled = []
-    n_changed = 0
-    n_skipped = 0
-    for record in records:
-        try:
-            features = load_record_features(record)
-        except DataError as exc:
-            log.warning("skipping %s: %s", record.id, exc)
-            n_skipped += 1
-            continue
-        label, (arousal, valence, dominance) = predict(features)
-        new_name = label.canonical_name
-        if new_name != record.label:
-            n_changed += 1
-        relabeled.append(replace(record, label=new_name, arousal=float(arousal),
-                                 valence=float(valence), dominance=float(dominance),
-                                 prev_label=record.label))
-    stats = {"n_total": len(records), "n_relabeled": len(relabeled),
-             "n_changed": n_changed, "n_skipped": n_skipped}
-    return relabeled, stats
 
 
 # -- synthetic dataset ------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Evaluation: confusion accumulation, UAR, dimensional CCC, checkpoint ensembling.
+"""Evaluation: confusion accumulation, UAR, dimensional CCC, checkpoint ensembling,
+and relabeling a manifest with an ensemble.
 
 UAR (balanced accuracy) is the principal metric: the unweighted mean of
 per-class recalls over classes with support, optionally restricted to the
@@ -10,7 +11,7 @@ top checkpoints by development categorical loss.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -138,6 +139,31 @@ def ensemble_predict(models: list, features) -> ModelOutput:
     dims /= len(models)
     return ModelOutput(cat_logits=Tensor(np.log(np.maximum(probs, 1e-300))),
                        cat_probs=Tensor(probs), dim_tensor=Tensor(dims))
+
+
+def two_pass_relabel(models: list, records: list) -> tuple:
+    """Relabel every record with the ensemble's class and dimensions.
+
+    The pass-1 label is kept in `prev_label`. Records whose feature file
+    cannot be read are skipped and logged. Returns (records, stats).
+    """
+    relabeled = []
+    n_changed = 0
+    for record in records:
+        try:
+            features = load_record_features(record)
+        except DataError as exc:
+            log.warning("skipping %s: %s", record.id, exc)
+            continue
+        out = ensemble_predict(models, features)
+        label = EmotionLabel(int(np.argmax(out.cat_probs.data))).canonical_name
+        arousal, valence, dominance = out.dim_tensor.data.tolist()
+        n_changed += label != record.label
+        relabeled.append(replace(record, label=label, arousal=arousal, valence=valence,
+                                 dominance=dominance, prev_label=record.label))
+    stats = {"n_total": len(records), "n_relabeled": len(relabeled),
+             "n_changed": n_changed, "n_skipped": len(records) - len(relabeled)}
+    return relabeled, stats
 
 
 # -- manifest-level evaluation ---------------------------------------------------

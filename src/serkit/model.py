@@ -147,10 +147,6 @@ class ModelOutput:
     cat_probs: Tensor           # [7], softmax of logits
     dim_tensor: Tensor          # [3] sigmoid scores, kept on the graph
 
-    @property
-    def predicted_class(self) -> int:
-        return int(np.argmax(self.cat_probs.data))
-
 
 # -- LoRA ------------------------------------------------------------------
 
@@ -218,19 +214,15 @@ def attention_weights(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, mask=None) -
     return scores.reshape(scores.shape[:-1]).softmax(mask)
 
 
-def additive_attention(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, mask=None) -> tuple:
-    """Single-head additive attention over rows of [..., n, d].
-
-    Returns (summary [..., d], weights [..., n]).
-    """
+def additive_attention(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, mask=None) -> Tensor:
+    """Single-head additive attention summary [..., d] over the rows of [..., n, d]."""
     weights = attention_weights(seq, w, b, v, mask)
     summary = weights.reshape(weights.shape[:-1] + (1, -1)) @ seq
-    return summary.reshape(summary.shape[:-2] + (seq.shape[-1],)), weights
+    return summary.reshape(summary.shape[:-2] + (seq.shape[-1],))
 
 
 def multiscale_hierarchical_pool(hidden: Tensor, cfg: PoolingConfig,
-                                 scale_attn: tuple, hier_attn: tuple,
-                                 return_details: bool = False, mask=None):
+                                 scale_attn: tuple, hier_attn: tuple, mask=None) -> Tensor:
     """Multiscale + hierarchical attention pooling of [..., T, d] into [..., d].
 
     Per scale s: average non-overlapping windows of s frames (remainder
@@ -245,20 +237,15 @@ def multiscale_hierarchical_pool(hidden: Tensor, cfg: PoolingConfig,
         raise ShapeError("multiscale pooling on empty input (T=0)")
     lengths = None if mask is None else np.sum(mask, axis=-1)
     summaries = []
-    scale_weights = {}
     for scale in cfg.scales:
         if scale == 1:  # the window matrix would be the identity
             windowed, window_mask = hidden, mask
         else:
             matrix, window_mask = _window_matrix(t, scale, lengths)
             windowed = Tensor(matrix) @ hidden
-        summary, weights = additive_attention(windowed, *scale_attn, mask=window_mask)
+        summary = additive_attention(windowed, *scale_attn, mask=window_mask)
         summaries.append(summary.reshape(summary.shape[:-1] + (1, -1)))
-        scale_weights[scale] = weights
-    pooled, hier_weights = additive_attention(concat(summaries, axis=-2), *hier_attn)
-    if return_details:
-        return pooled, {"scale_weights": scale_weights, "hier_weights": hier_weights}
-    return pooled
+    return additive_attention(concat(summaries, axis=-2), *hier_attn)
 
 
 def attentive_stats_pool(x: Tensor, w: Tensor, b: Tensor, v: Tensor,

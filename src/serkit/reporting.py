@@ -33,8 +33,6 @@ def write_report_csv(path: str, report: EvalReport) -> None:
 
 
 def read_report_csv(path: str) -> dict:
-    if not os.path.exists(path):
-        raise DataError(f"report not found: {path}")
     metrics = {}
     for line_no, line in text_lines(path):
         line = line.strip()

@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,7 +199,7 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
     counts = np.zeros(NUM_CLASSES)
     for record in train_records:
         counts[record.label_index] += 1
-    loss_cfg.class_weights = class_weights_from_counts(counts)
+    loss_cfg = replace(loss_cfg, class_weights=class_weights_from_counts(counts))
 
     steps_per_epoch = math.ceil(len(train_records) / train_cfg.batch_size)
     schedule = ScheduleConfig(total_steps=train_cfg.epochs * steps_per_epoch,

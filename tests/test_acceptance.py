@@ -169,13 +169,9 @@ def test_overfit_capability(tmp_path):
         assert elapsed < 300.0, f"overfit run took {elapsed:.0f}s (budget 300s)"
 
         # After overfitting, two-pass relabeling reproduces the ground truth.
-        from serkit.datapipe import two_pass_relabel
+        from serkit.evaluation import two_pass_relabel
 
-        def predict(features):
-            out = model.forward(features)
-            return EMOTIONS[out.predicted_class], tuple(out.dim_tensor.data.tolist())
-
-        relabeled, stats = two_pass_relabel(train, predict)
+        relabeled, stats = two_pass_relabel([model], train)
         assert stats["n_changed"] == 0
         assert [r.label for r in relabeled] == [r.label for r in train]
         assert all(r.prev_label == orig.label for r, orig in zip(relabeled, train))

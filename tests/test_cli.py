@@ -176,6 +176,42 @@ class TestEvalCommand:
         assert rc == 1
 
 
+class TestRelabelCommand:
+    def test_relabel_into_other_directory_then_retrain(self, tmp_path, datasets, tiny_config):
+        run = run_train(tmp_path, datasets, tiny_config, "pass1")
+        ck = os.path.join(run, "checkpoints",
+                          sorted(os.listdir(os.path.join(run, "checkpoints")))[-1])
+        outs = [str(tmp_path / "relabeled" / name / "train.jsonl") for name in ("a", "b")]
+        for out in outs:
+            assert main(["relabel", "--config", tiny_config, "--checkpoint", ck,
+                         "--checkpoint", ck, "--manifest", datasets["train"],
+                         "--out", out]) == 0
+        for suffix in ("", ".stats.json"):
+            assert open(outs[0] + suffix, "rb").read() == open(outs[1] + suffix, "rb").read()
+
+        original = {r.id: r for r in read_manifest(datasets["train"])}
+        relabeled = read_manifest(outs[0])
+        assert sorted(r.id for r in relabeled) == sorted(original)
+        for record in relabeled:
+            source = original[record.id]
+            assert os.path.samefile(record.resolved_features_path(),
+                                    source.resolved_features_path())
+            assert record.prev_label == source.label
+            assert record.has_dims
+        stats = json.load(open(outs[0] + ".stats.json"))
+        assert stats["n_total"] == stats["n_relabeled"] == len(original)
+        assert stats["n_skipped"] == 0
+
+        pass2 = [run_train(tmp_path, dict(datasets, train=outs[0]), tiny_config, name)
+                 for name in ("pass2_a", "pass2_b")]
+        assert dir_contents(pass2[0]) == dir_contents(pass2[1])
+
+    def test_no_checkpoints_exit_1(self, tmp_path, datasets, capsys):
+        rc = main(["relabel", "--manifest", datasets["train"], "--out", str(tmp_path / "r.jsonl")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config: at least one --checkpoint")
+
+
 def write_predictions(path, rows):
     with open(path, "w", encoding="utf-8") as handle:
         for utt, start, end, label in rows:
@@ -359,7 +395,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("line", [
         b'{"id": "u\xff", "frames": 4, "frame_rate_hz": 8.0, "label": "Happy"}',
         b'{"id": "u", "frames": Infinity, "frame_rate_hz": 8.0, "label": "Happy"}',
-    ], ids=["not-utf8", "infinity"])
+        b'{"id": "u", "frames": 0, "frame_rate_hz": 8.0, "label": "Happy"}',
+        b'{"id": "u", "frames": 4, "frame_rate_hz": 8.0, "label": "Happy", "prev_label": "Bored"}',
+        b'{"id": "u", "frames": 4, "frame_rate_hz": 8.0, "label": "Happy", "prev_label": [1]}',
+        b'{"id": "u", "frames": 4, "frame_rate_hz": 8.0, "label": "Happy", "language": 5}',
+    ], ids=["not-utf8", "infinity", "zero-frames", "prev-label-unknown", "prev-label-list",
+            "language-not-string"])
     def test_manifest_exit_2(self, tmp_path, datasets, tiny_config, capsys, line):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(open(datasets["train"], "rb").readline() + line + b"\n")
@@ -413,6 +454,29 @@ class TestMalformedInputs:
                                               setting):
         assert self._train(tmp_path, datasets, tiny_config, "--set", setting) == 1
         self._one_error_line(capsys, "config")
+
+    @pytest.mark.parametrize("case, code", [
+        ("eval-checkpoint-dir", 2), ("train-manifest-dir", 2), ("config-dir", 1),
+        ("report-dir", 2), ("record-without-features-path", 2), ("missing-noise-dir", 1),
+    ])
+    def test_unreadable_path(self, tmp_path, datasets, tiny_config, capsys, case, code):
+        directory = str(tmp_path)
+        no_path = tmp_path / "no_path.jsonl"
+        no_path.write_text('{"id": "u", "frames": 8, "frame_rate_hz": 8.0, "label": "Happy"}\n')
+        train = ["train", "--config", tiny_config, "--train", datasets["train"],
+                 "--dev", datasets["dev"], "--out", str(tmp_path / "run")]  # a later flag wins
+        argv = {
+            "eval-checkpoint-dir": ["eval", "--config", tiny_config, "--checkpoint", directory,
+                                    "--manifest", datasets["eval"],
+                                    "--report", str(tmp_path / "r.csv")],
+            "train-manifest-dir": train + ["--train", directory],
+            "config-dir": train + ["--config", directory],
+            "report-dir": ["report", "--in", directory, "--svg", str(tmp_path / "x.svg")],
+            "record-without-features-path": train + ["--train", str(no_path)],
+            "missing-noise-dir": train + ["--set", f"augment.noise_dir={tmp_path / 'absent'}"],
+        }[case]
+        assert main(argv) == code
+        assert "cannot read" in self._one_error_line(capsys, "config" if code == 1 else "data")
 
     def test_report_csv_not_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -1,7 +1,8 @@
-"""Datapipe tests: windows, consensus, merging, votes, synth data, manifests."""
+"""Datapipe tests: windows, consensus, merging, synth data, manifests, relabeling."""
 
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,19 +13,20 @@ from serkit.datapipe import (
     ManifestRecord,
     consensus_label,
     load_record_features,
-    majority_vote,
     merge_segments,
     read_features,
     read_manifest,
     synth_dataset,
-    two_pass_relabel,
     utterance_pseudo_label,
     window_split,
     write_features,
     write_manifest,
 )
 from serkit.errors import ConfigError, DataError
+from serkit.evaluation import two_pass_relabel
 from serkit.labels import EMOTIONS, EmotionLabel, parse_predictor_label
+from serkit.model import SERModel
+from tests.test_model import small_config
 
 NINE_CLASS = ["neutral", "happy", "sad", "angry", "surprised", "fearful",
               "disgusted", "other", "unknown"]
@@ -188,23 +190,6 @@ class TestMergeSegments:
             assert {l for _, _, l in merged} == {l for _, _, l in segments}
 
 
-class TestMajorityVote:
-    def test_two_of_three(self):
-        assert majority_vote([EmotionLabel.HAPPY, EmotionLabel.HAPPY,
-                              EmotionLabel.SAD]) == (EmotionLabel.HAPPY, True)
-
-    def test_unanimous(self):
-        assert majority_vote([EmotionLabel.HAPPY] * 3) == (EmotionLabel.HAPPY, True)
-
-    def test_three_way_split_flags_exclusion(self):
-        assert majority_vote([EmotionLabel.HAPPY, EmotionLabel.SAD,
-                              EmotionLabel.ANGRY]) == (EmotionLabel.NEUTRAL, False)
-
-    def test_wrong_count_rejected(self):
-        with pytest.raises(DataError):
-            majority_vote([EmotionLabel.HAPPY, EmotionLabel.SAD])
-
-
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -283,6 +268,20 @@ class TestManifests:
             with pytest.raises(DataError, match="bad.jsonl:1"):
                 read_manifest(str(path))
 
+    def test_relative_feature_paths_rebased_onto_output_directory(self, tmp_path):
+        manifest = synth_dataset(str(tmp_path / "src"), n_per_class=1, frames=4, dim=3)
+        records = read_manifest(manifest)
+        write_manifest(str(tmp_path / "same.jsonl"), [
+            ManifestRecord(id="u", features_path="u.serf", frames=4, frame_rate_hz=8.0,
+                           label="Sad")])  # no base_dir: written as given
+        for out in (manifest, str(tmp_path / "elsewhere" / "deep" / "copy.jsonl")):
+            write_manifest(out, records)
+            for old, new in zip(records, read_manifest(out)):
+                assert os.path.samefile(new.resolved_features_path(),
+                                        old.resolved_features_path())
+        assert open(manifest).read().count('"features_path": "features/') == len(records)
+        assert '"features_path": "u.serf"' in open(tmp_path / "same.jsonl").read()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError):
             read_manifest(str(tmp_path / "absent.jsonl"))
@@ -319,36 +318,33 @@ class TestSynthDataset:
 
 
 class TestTwoPassRelabel:
+    """`two_pass_relabel` (in serkit.evaluation) labels through a checkpoint ensemble."""
+
+    MODELS = [SERModel(small_config(seed=1)), SERModel(small_config(seed=2))]
+
     def _records(self, tmp_path, n=6):
-        manifest = synth_dataset(str(tmp_path / "r"), n_per_class=1, frames=6, dim=4,
+        manifest = synth_dataset(str(tmp_path / "r"), n_per_class=1, frames=6, dim=8,
                                  seed=3)
         return read_manifest(manifest)[:n]
 
-    @staticmethod
-    def _fixed_predictor(features):
-        # Deterministic function of the features so a second pass is a fixed point.
-        score = float(np.abs(features).sum())
-        label = EMOTIONS[int(score * 1000) % 7]
-        return label, (0.25, 0.5, 0.75)
-
     def test_second_pass_is_fixed_point(self, tmp_path):
         records = self._records(tmp_path)
-        first, _ = two_pass_relabel(records, self._fixed_predictor)
-        second, stats = two_pass_relabel(first, self._fixed_predictor)
+        first, _ = two_pass_relabel(self.MODELS, records)
+        second, stats = two_pass_relabel(self.MODELS, first)
         assert [r.label for r in first] == [r.label for r in second]
         assert stats["n_changed"] == 0
 
     def test_provenance_carries_pass1_label(self, tmp_path):
         records = self._records(tmp_path)
-        relabeled, _ = two_pass_relabel(records, self._fixed_predictor)
+        relabeled, _ = two_pass_relabel(self.MODELS, records)
         for old, new in zip(records, relabeled):
             assert new.prev_label == old.label
 
     def test_missing_feature_file_skipped_and_logged(self, tmp_path, caplog):
         records = self._records(tmp_path)
         records[0].features_path = "does-not-exist.serf"
-        with caplog.at_level("WARNING", logger="serkit.datapipe"):
-            relabeled, stats = two_pass_relabel(records, self._fixed_predictor)
+        with caplog.at_level("WARNING", logger="serkit.evaluation"):
+            relabeled, stats = two_pass_relabel(self.MODELS, records)
         assert stats["n_skipped"] == 1
         assert len(relabeled) == len(records) - 1
         assert any("skipping" in r.message for r in caplog.records)

@@ -15,7 +15,8 @@ from serkit.model import (
     ModelConfig,
     PoolingConfig,
     SERModel,
-    additive_attention,
+    _window_matrix,
+    attention_weights,
     attentive_stats_pool,
     lora_merge,
     multiscale_hierarchical_pool,
@@ -146,10 +147,9 @@ class TestMultiscalePooling:
     def test_constant_input_uniform_weights(self):
         scale_p, hier_p = self._params(3, 4)
         hidden = Tensor(np.tile([[0.5, -0.25, 1.0]], (8, 1)))
-        cfg = PoolingConfig(scales=(1, 4))
-        _, details = multiscale_hierarchical_pool(hidden, cfg, scale_p, hier_p,
-                                                  return_details=True)
-        for scale, weights in details["scale_weights"].items():
+        for scale in (1, 4):
+            windowed = Tensor(_window_matrix(8, scale)[0]) @ hidden
+            weights = attention_weights(windowed, *scale_p)
             n = weights.data.size
             np.testing.assert_allclose(weights.data, np.full(n, 1.0 / n), atol=1e-12)
 
@@ -178,9 +178,9 @@ class TestMultiscalePooling:
         scale_p, hier_p = self._params(2, 3)
         hidden = Tensor(np.arange(10).reshape(5, 2).astype(float))
         cfg = PoolingConfig(scales=(1, 4))
-        out, details = multiscale_hierarchical_pool(hidden, cfg, scale_p, hier_p,
-                                                    return_details=True)
-        assert details["scale_weights"][4].data.size == 2  # [0:4] + remainder [4:5]
+        windowed = Tensor(_window_matrix(5, 4)[0]) @ hidden
+        assert attention_weights(windowed, *scale_p).data.size == 2  # [0:4] + remainder [4:5]
+        out = multiscale_hierarchical_pool(hidden, cfg, scale_p, hier_p)
         assert out.data.shape == (2,)
 
     def test_empty_input_rejected(self):

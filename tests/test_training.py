@@ -102,6 +102,16 @@ class TestTrainLoop:
         log_b = open(tmp_path / "run_b" / "train_log.csv").read()
         assert log_a == log_b
 
+    def test_callers_loss_config_unchanged(self, tmp_path):
+        train, dev = make_data(tmp_path)
+        loss_cfg = LossConfig()
+        weights = loss_cfg.class_weights
+        train_loop(tiny_model(), train[3:], dev, str(tmp_path / "run"), loss_cfg=loss_cfg,
+                   opt_cfg=OptimizerConfig(), train_cfg=TrainConfig(epochs=1, batch_size=8))
+        # the run fits its own (unequal) class weights to the unbalanced train split
+        assert loss_cfg.class_weights is weights
+        np.testing.assert_array_equal(weights, np.ones(7))
+
     def test_checkpoint_metadata_matches_recomputed_dev_loss(self, tmp_path):
         model, state = run_tiny(tmp_path, "run_meta", seed=3)
         train, dev = make_data(tmp_path)
