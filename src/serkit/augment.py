@@ -78,7 +78,7 @@ class DirectoryNoiseSource:
             raise ConfigError(f"cannot read noise_dir {directory}: {exc.strerror}") from None
         paths = sorted(os.path.join(directory, name) for name in names if name.endswith(".serf"))
         if not paths:
-            raise DataError(f"no .serf noise files in {directory}")
+            raise ConfigError(f"noise_dir {directory} holds no .serf noise file")
         self._banks = [read_features(path) for path in paths]
 
     def __call__(self, shape, rng) -> np.ndarray:

@@ -14,8 +14,8 @@ is finite; a NaN/Inf raises :class:`NumericError` naming the node, so a
 diverging forward pass fails loudly instead of poisoning gradients.
 
 Batches are padded to a common length: ops over time take an optional
-leading batch axis and an optional length mask ([B, T], true on valid
-frames), so padded frames never reach a valid frame's output.
+leading batch axis and optional valid `lengths` ([B]; each utterance's
+frames are a prefix), so padded frames never reach a valid frame's output.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ _node_ids = itertools.count()
 
 # Scores per attention tile (~1 MB of float64): a tile's softmax stays in L2 cache.
 BLOCK_ELEMENTS = 1 << 17
+
+
+def _valid_frames(lengths, t: int) -> np.ndarray:
+    """[B, T] mask of each utterance's valid frames: the first lengths[b] of T."""
+    return np.arange(t) < np.asarray(lengths)[:, None]
 
 
 class _GradMode(threading.local):
@@ -260,16 +265,6 @@ class Tensor:
 
         return Tensor._make(a.data @ b.data, (a, b), "matmul", backward)
 
-    def exp(self):
-        a = self
-        with np.errstate(over="ignore"):
-            out_data = np.exp(a.data)
-
-        def backward(g):
-            a._accumulate(g * out_data)
-
-        return Tensor._make(out_data, (a,), "exp", backward)
-
     def log(self):
         a = self
 
@@ -334,26 +329,19 @@ class Tensor:
         return Tensor._make(out, (a,), "sum", backward)
 
     def mean(self, axis=None, keepdims=False):
-        a = self
-        n = a.data.size if axis is None else a.data.shape[axis]
-        out = np.mean(a.data, axis=axis, keepdims=keepdims)
+        n = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis, keepdims) / n
 
-        def backward(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g.reshape(out.shape), axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape) / n)
-
-        return Tensor._make(out, (a,), "mean", backward)
-
-    def softmax(self, mask=None):
+    def softmax(self, lengths=None):
         """Softmax over the last axis; rows sum to 1 within 1e-12.
 
-        Entries where `mask` (broadcastable to the input) is false get
-        probability exactly 0 and no gradient.
+        With `lengths` ([B] for a [B, n] input) the entries of row b past
+        lengths[b] get probability exactly 0 and no gradient.
         """
         a = self
-        scores = a.data if mask is None else np.where(mask, a.data, -np.inf)
-        with np.errstate(invalid="ignore"):  # a fully masked row turns NaN; _make rejects it
+        scores = a.data if lengths is None else np.where(
+            _valid_frames(lengths, a.data.shape[-1]), a.data, -np.inf)
+        with np.errstate(invalid="ignore"):  # a row of length 0 turns NaN; _make rejects it
             e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
         out_data = e / np.sum(e, axis=-1, keepdims=True)
 
@@ -421,12 +409,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int = 1,
-                   mask=None) -> Tensor:
+                   lengths=None) -> Tensor:
     """Dilated 1D convolution over [..., C_in, T] preserving T; the output is C-contiguous.
 
     weight is [C_out, C_in, K] with odd K; symmetric zero padding of
-    (K-1)//2 * dilation on each side keeps the time axis length. With a
-    `mask` ([B, T]) padded input frames read as zeros, so each utterance's
+    (K-1)//2 * dilation on each side keeps the time axis length. With
+    `lengths` ([B]) padded input frames read as zeros, so each utterance's
     kernel edges see exactly what its own zero padding gives. Every width is
     one sum over taps, out = sum_i W[:, :, i] @ xp[..., i*d : i*d + T], of
     batched matmuls over shifted views of one zero-padded input `xp` (x
@@ -462,7 +450,7 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
             out += np.matmul(w[i], ap[..., i * dilation:i * dilation + t])
         return out
 
-    keep = None if mask is None else np.asarray(mask, dtype=np.float64).reshape(-1, 1, t)
+    keep = None if lengths is None else _valid_frames(lengths, t)[:, None].astype(float)
     xb = x.data.reshape(-1, c_in, t)
     xp = padded(xb if keep is None else xb * keep)
     n = xp.shape[0]
@@ -498,12 +486,12 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
                         f"conv1d(d={dilation})", backward)
 
 
-def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tuple, keep,
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tuple, lengths,
                op: str) -> Tensor:
     """The normalisation node behind group_norm and layer_norm.
 
     x is viewed as `grouped` [N, G, C/G, T]. Each (utterance, group) block is normalised over
-    its frames where `keep` ([N, 1, 1, T], or None for all) is 1; the others come out 0. Then
+    its first `lengths` ([N], or None for all) frames; the others come out 0. Then
     each channel is scaled by gamma and shifted by beta. Forward makes two full-size buffers,
     the output and d = (x - mu) * keep, which backward keeps with the per-group rstd instead
     of xhat. Backward takes dbeta, dgamma and two per-group means from per-(utterance, channel)
@@ -513,7 +501,8 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tupl
     n, groups, width, t = xg.shape
     flat = (n, groups, width * t)         # per-group factors broadcast over one long axis
     scale = gamma.data.reshape(groups, width, 1)
-    count = width * (t if keep is None else keep.reshape(n, 1, t).sum(axis=-1))
+    keep = None if lengths is None else _valid_frames(lengths, t)[:, None, None].astype(float)
+    count = width * (t if lengths is None else np.asarray(lengths)[:, None])
     d = xg.copy() if keep is None else xg * keep
     mu = d.reshape(flat).sum(axis=-1) / count
     d -= mu[..., None, None] if keep is None else mu[..., None, None] * keep
@@ -561,10 +550,10 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tupl
 
 
 def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-               mask=None) -> Tensor:
+               lengths=None) -> Tensor:
     """GroupNorm over [..., C, T]: per-group stats over the group's channels x all time steps.
 
-    With a `mask` ([B, T]) the statistics cover valid frames only and padded
+    With `lengths` ([B]) the statistics cover valid frames only and padded
     frames come out as exact zeros. One `_normalize` node, two full-size buffers each way.
     """
     if x.data.ndim < 2:
@@ -574,8 +563,7 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
         raise ConfigError(f"group_norm: {c} channels not divisible by {num_groups} groups")
     if eps <= 0:
         raise ConfigError(f"group_norm eps must be > 0, got {eps}")
-    keep = None if mask is None else np.asarray(mask, dtype=np.float64).reshape(-1, 1, 1, t)
-    return _normalize(x, gamma, beta, eps, (-1, num_groups, c // num_groups, t), keep,
+    return _normalize(x, gamma, beta, eps, (-1, num_groups, c // num_groups, t), lengths,
                       "group_norm")
 
 
@@ -585,26 +573,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _normalize(x, gamma, beta, eps, (-1, 1, x.data.shape[-1], 1), None, "layer_norm")
 
 
-def _prefix_lengths(mask, utterances: int, t: int) -> np.ndarray:
-    """Valid length of each row of an attention `mask` ([B, T], true on a prefix of frames)."""
-    valid = np.asarray(mask).astype(bool)
-    if valid.size != utterances * t:
-        raise ShapeError(f"attention mask {valid.shape} does not fit {utterances} x {t} frames")
-    lengths = valid.reshape(utterances, t).sum(axis=1)
-    bad = np.flatnonzero((valid.reshape(utterances, t) != (np.arange(t) < lengths[:, None])).any(1))
-    if bad.size:
-        raise ShapeError(f"attention mask row {bad[0]} is not a prefix of valid frames")
-    if lengths.min() == 0:
-        raise NumericError(f"attention: mask row {np.argmin(lengths)} has no valid frame")
-    return lengths
-
-
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None) -> Tensor:
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+                         lengths=None) -> Tensor:
     """Scaled dot-product self-attention over [..., T, d] split into `num_heads` heads.
 
-    A `mask` ([B, T]) marks each utterance's valid frames, a prefix of length
-    n. One node. The (utterance, head) pairs are sorted by n and run in tiles
-    of one n and about BLOCK_ELEMENTS scores (~1 MB), so a tile's scores stay
+    `lengths` ([B]) counts each utterance's valid frames n, a prefix. One
+    node. The (utterance, head) pairs are sorted by n and run in tiles of
+    one n and about BLOCK_ELEMENTS scores (~1 MB), so a tile's scores stay
     in cache. A tile computes only its [:n, :n] scores: padded query rows
     come out 0 with no gradient, and each pair's result is bit-identical to
     its unpadded run whatever its tile-mates. e = exp(s - max s) is kept
@@ -621,7 +596,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=N
     head_dim = shape[-1] // num_heads
     inv_scale = 1.0 / np.sqrt(head_dim)
     utterances = q.data.size // (t * shape[-1])
-    lengths = np.full(utterances, t) if mask is None else _prefix_lengths(mask, utterances, t)
+    lengths = np.full(utterances, t) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (utterances,) or np.any(lengths > t):
+        raise ShapeError(f"attention lengths {lengths.tolist()} do not fit "
+                         f"{utterances} x {t} frames")
+    if np.any(lengths < 1):
+        raise NumericError(f"attention: utterance {np.argmin(lengths)} has no valid frame")
     # Python's sorts, not np.argsort/np.unique, whose first calls add 0.17/1.6 MB of RSS.
     order = sorted(range(utterances), key=lengths.__getitem__)     # stable, by length
     rank = sorted(range(utterances), key=order.__getitem__)        # its inverse

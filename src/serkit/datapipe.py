@@ -310,13 +310,7 @@ def consensus_label(a: str, b: str) -> EmotionLabel:
     return EmotionLabel.NEUTRAL
 
 
-@dataclass
-class PseudoLabel:
-    label: EmotionLabel
-    emotional_fraction: float
-
-
-def utterance_pseudo_label(window_labels: list, cfg: ConsensusConfig) -> PseudoLabel:
+def utterance_pseudo_label(window_labels: list, cfg: ConsensusConfig) -> EmotionLabel:
     """Modal non-neutral label if it covers >= min_emotional_fraction of windows.
 
     Modal ties break deterministically by canonical label order.
@@ -329,12 +323,11 @@ def utterance_pseudo_label(window_labels: list, cfg: ConsensusConfig) -> PseudoL
     emotional = [(label, counts[label]) for label in EMOTIONS
                  if label != EmotionLabel.NEUTRAL and counts[label] > 0]
     if not emotional:
-        return PseudoLabel(EmotionLabel.NEUTRAL, 0.0)
+        return EmotionLabel.NEUTRAL
     modal_label, modal_count = max(emotional, key=lambda item: (item[1], -int(item[0])))
-    fraction = modal_count / len(window_labels)
-    if fraction >= cfg.min_emotional_fraction:
-        return PseudoLabel(modal_label, fraction)
-    return PseudoLabel(EmotionLabel.NEUTRAL, fraction)
+    if modal_count / len(window_labels) >= cfg.min_emotional_fraction:
+        return modal_label
+    return EmotionLabel.NEUTRAL
 
 
 def _window_prediction(obj: dict) -> tuple:
@@ -414,9 +407,9 @@ def pseudo_label_files(pred_a_path: str, pred_b_path: str, durations_path: str,
             n_windows += 1
             if label == EmotionLabel.NEUTRAL:
                 n_neutral_windows += 1
-        pseudo = utterance_pseudo_label(labels, cfg)
-        class_counts[pseudo.label.canonical_name] += 1
-        records.append(replace(record, label=pseudo.label.canonical_name))
+        name = utterance_pseudo_label(labels, cfg).canonical_name
+        class_counts[name] += 1
+        records.append(replace(record, label=name))
     stats = {
         "n_utterances": len(records),
         "n_windows": n_windows,

@@ -1,11 +1,12 @@
-"""Evaluation: confusion accumulation, UAR, dimensional CCC, checkpoint ensembling,
+"""Evaluation: confusion counts, UAR, dimensional CCC, checkpoint ensembling,
 and relabeling a manifest with an ensemble.
 
-UAR (balanced accuracy) is the principal metric: the unweighted mean of
-per-class recalls over classes with support, optionally restricted to the
-primary four classes (Neutral, Angry, Sad, Happy). Ensembling averages the
-post-softmax probability vectors and post-sigmoid dimension vectors of the
-top checkpoints by development categorical loss.
+Confusion counts are a 7x7 int64 array: rows are reference labels, columns
+predictions. UAR (balanced accuracy) is the principal metric: the
+unweighted mean of per-class recalls over classes with support, optionally
+restricted to the primary four classes (Neutral, Angry, Sad, Happy).
+Ensembling averages the post-softmax probability vectors and post-sigmoid
+dimension vectors of the top checkpoints by development categorical loss.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .autodiff import Tensor, no_grad
 from .datapipe import MERGE_CAP_S, load_record_features, merge_segments
 from .errors import DataError
 from .labels import NUM_CLASSES, EmotionLabel
+from .losses import ccc
 from .model import ModelOutput
 
 log = logging.getLogger("serkit.evaluation")
@@ -28,36 +30,15 @@ PRIMARY_FOUR = frozenset({EmotionLabel.NEUTRAL, EmotionLabel.ANGRY,
                           EmotionLabel.SAD, EmotionLabel.HAPPY})
 
 
-class ConfusionMatrix:
-    """7x7 integer counts; rows are reference labels, columns predictions."""
-
-    def __init__(self, counts: Optional[np.ndarray] = None):
-        if counts is None:
-            self.counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (NUM_CLASSES, NUM_CLASSES) or np.any(counts < 0):
-                raise DataError(f"confusion matrix must be non-negative 7x7, got {counts.shape}")
-            self.counts = counts.copy()
-
-    def accumulate(self, ref, hyp) -> "ConfusionMatrix":
-        self.counts[int(ref), int(hyp)] += 1
-        return self
-
-    @property
-    def n_scored(self) -> int:
-        return int(self.counts.sum())
-
-
-def per_class_recall(cm: ConfusionMatrix) -> np.ndarray:
+def per_class_recall(cm: np.ndarray) -> np.ndarray:
     """Recall per class; NaN where the class has no support."""
-    support = cm.counts.sum(axis=1)
+    support = cm.sum(axis=1)
     with np.errstate(invalid="ignore"):
-        recall = np.where(support > 0, np.diag(cm.counts) / np.maximum(support, 1), np.nan)
+        recall = np.where(support > 0, np.diag(cm) / np.maximum(support, 1), np.nan)
     return recall
 
 
-def uar(cm: ConfusionMatrix, class_subset=None) -> float:
+def uar(cm: np.ndarray, class_subset=None) -> float:
     """Mean recall over supported classes (optionally within a subset).
 
     Zero-support classes are excluded from the mean and reported in the log;
@@ -76,15 +57,15 @@ def uar(cm: ConfusionMatrix, class_subset=None) -> float:
     return float(np.mean(recall[supported]))
 
 
-def weighted_accuracy(cm: ConfusionMatrix) -> float:
-    total = cm.counts.sum()
+def weighted_accuracy(cm: np.ndarray) -> float:
+    total = cm.sum()
     if total == 0:
         raise DataError("weighted accuracy undefined on an empty confusion matrix")
-    return float(np.trace(cm.counts) / total)
+    return float(np.trace(cm) / total)
 
 
 def ccc_metric(refs: np.ndarray, preds: np.ndarray) -> tuple:
-    """Per-dimension CCC over the full eval set (two-pass population moments).
+    """Per-dimension CCC over the full eval set: the loss's `ccc` with eps 0.
 
     A constant reference dimension yields 0.0 with a warning instead of 0/0.
     """
@@ -95,28 +76,22 @@ def ccc_metric(refs: np.ndarray, preds: np.ndarray) -> tuple:
     if refs.shape[0] < 2:
         raise DataError(f"ccc_metric needs n >= 2, got {refs.shape[0]}")
     out = []
-    for dim in range(3):
+    for dim in range(3):    # one column at a time: an [n, 3] `ccc` call rounds differently
         y = refs[:, dim]
-        p = preds[:, dim]
-        mu_y = y.mean()
-        mu_p = p.mean()
-        var_y = float(np.mean((y - mu_y) ** 2))
-        var_p = float(np.mean((p - mu_p) ** 2))
-        cov = float(np.mean((y - mu_y) * (p - mu_p)))
-        denom = var_y + var_p + (mu_y - mu_p) ** 2
-        if denom == 0.0 or var_y == 0.0:
+        if np.mean((y - y.mean()) ** 2) == 0.0:     # var(y) as `ccc` computes it
             log.warning("constant reference in CCC dimension %d: reporting 0", dim)
             out.append(0.0)
         else:
-            out.append(float(2.0 * cov / denom))
+            out.append(ccc(y, preds[:, dim], eps=0.0).item())
     return tuple(out)
 
 
 def select_top_checkpoints(history: list, k: int = 4) -> list:
-    """k paths with the lowest dev categorical loss; ties keep the earlier epoch."""
+    """k paths of `TrainState.history` entries (path, epoch, dev_cat_loss) with the lowest
+    dev categorical loss; ties keep the earlier entry."""
     if not history:
         raise DataError("checkpoint history is empty")
-    ranked = sorted(range(len(history)), key=lambda i: (history[i][1], i))
+    ranked = sorted(range(len(history)), key=lambda i: (history[i][2], i))
     return [history[i][0] for i in ranked[:k]]
 
 
@@ -198,7 +173,7 @@ class EvalReport:
         return rows
 
 
-def _subset_uar_or_nan(cm: ConfusionMatrix, subset) -> float:
+def _subset_uar_or_nan(cm: np.ndarray, subset) -> float:
     try:
         return uar(cm, class_subset=subset)
     except DataError:
@@ -231,7 +206,7 @@ def evaluate_manifest(models: list, records: list, granularity: str = "fine",
     if granularity == "merged":
         segments = merge_segments(segments, cap_s=merge_cap_s)
 
-    cm = ConfusionMatrix()
+    cm = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     dim_refs = []
     dim_preds = []
     for start, end, label in segments:
@@ -243,7 +218,7 @@ def evaluate_manifest(models: list, records: list, granularity: str = "fine",
             raise DataError(f"segment ({start}, {end}) s overlaps no record by more than "
                             f"1e-12 s: is a record's frames / frame_rate_hz that short?")
         rows, w = rows[keep], overlap[keep] / overlap[keep].sum()
-        cm.accumulate(label, int(np.argmax(w @ probs[rows])))
+        cm[label, np.argmax(w @ probs[rows])] += 1
         if has_dims[rows].all():
             dim_refs.append(w @ refs[rows])
             dim_preds.append(w @ dims[rows])
@@ -259,5 +234,5 @@ def evaluate_manifest(models: list, records: list, granularity: str = "fine",
         ccc_arousal=ccc_vals[0],
         ccc_valence=ccc_vals[1],
         ccc_dominance=ccc_vals[2],
-        n_scored=cm.n_scored,
+        n_scored=int(cm.sum()),
     )

@@ -8,7 +8,7 @@ aggregation conv) -> attentive statistics pooling plus multiscale
 hierarchical attention pooling -> 7-way softmax head and 3-way sigmoid head.
 
 Every stage that mixes frames (attention keys, dilated convs, GroupNorm and
-SE statistics, both poolings) is masked to each utterance's own length, so
+SE statistics, both poolings) is limited to each utterance's own length, so
 an utterance's prediction does not depend on its batch-mates or on padding.
 
 The encoder carries no positional encoding: order information enters the
@@ -192,8 +192,8 @@ def _window_matrix(t: int, scale: int, lengths=None) -> tuple:
     """Averaging matrix over non-overlapping windows of `scale` frames (remainder kept).
 
     Without `lengths`: ([N, T], None). With `lengths` ([B]) each utterance
-    gets its own windows: ([B, N, T], window mask [B, N]); windows that start
-    past an utterance's length are all-zero rows, masked out.
+    gets its own windows: ([B, N, T], window counts [B]); windows that start
+    past an utterance's length are all-zero rows, past its count.
     """
     lo = np.arange(math.ceil(t / scale)) * scale
     limit = t if lengths is None else np.asarray(lengths)[:, None]
@@ -202,63 +202,62 @@ def _window_matrix(t: int, scale: int, lengths=None) -> tuple:
     inside = (frames >= lo[:, None]) & (frames < hi[..., None])
     counts = hi - lo
     matrix = inside / np.maximum(counts, 1)[..., None]
-    return matrix, (None if lengths is None else counts > 0)
+    return matrix, (None if lengths is None else np.sum(counts > 0, axis=-1))
 
 
-def attention_weights(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, mask=None) -> Tensor:
+def attention_weights(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, lengths=None) -> Tensor:
     """Additive-attention weights over the rows of [..., n, d]: softmax of v^T tanh(W u_i + b).
 
-    Rows where `mask` ([..., n]) is false get weight 0.
+    With `lengths` ([B] for [B, n, d]) rows past lengths[b] get weight 0.
     """
     scores = (seq @ w.T + b).tanh() @ v.reshape(-1, 1)
-    return scores.reshape(scores.shape[:-1]).softmax(mask)
+    return scores.reshape(scores.shape[:-1]).softmax(lengths)
 
 
-def additive_attention(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, mask=None) -> Tensor:
+def additive_attention(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, lengths=None) -> Tensor:
     """Single-head additive attention summary [..., d] over the rows of [..., n, d]."""
-    weights = attention_weights(seq, w, b, v, mask)
+    weights = attention_weights(seq, w, b, v, lengths)
     summary = weights.reshape(weights.shape[:-1] + (1, -1)) @ seq
     return summary.reshape(summary.shape[:-2] + (seq.shape[-1],))
 
 
 def multiscale_hierarchical_pool(hidden: Tensor, cfg: PoolingConfig,
-                                 scale_attn: tuple, hier_attn: tuple, mask=None) -> Tensor:
+                                 scale_attn: tuple, hier_attn: tuple, lengths=None) -> Tensor:
     """Multiscale + hierarchical attention pooling of [..., T, d] into [..., d].
 
     Per scale s: average non-overlapping windows of s frames (remainder
     window kept, short inputs collapse to a single whole-sequence window),
     then apply a shared additive attention to get one summary per scale.
     A second additive attention over the per-scale summaries yields the
-    pooled vector. With a `mask` ([B, T]) the windows follow each
+    pooled vector. With `lengths` ([B]) the windows follow each
     utterance's own length.
     """
     t = hidden.shape[-2]
     if t == 0:
         raise ShapeError("multiscale pooling on empty input (T=0)")
-    lengths = None if mask is None else np.sum(mask, axis=-1)
     summaries = []
     for scale in cfg.scales:
         if scale == 1:  # the window matrix would be the identity
-            windowed, window_mask = hidden, mask
+            windowed, windows = hidden, lengths
         else:
-            matrix, window_mask = _window_matrix(t, scale, lengths)
+            matrix, windows = _window_matrix(t, scale, lengths)
             windowed = Tensor(matrix) @ hidden
-        summary = additive_attention(windowed, *scale_attn, mask=window_mask)
+        summary = additive_attention(windowed, *scale_attn, lengths=windows)
         summaries.append(summary.reshape(summary.shape[:-1] + (1, -1)))
     return additive_attention(concat(summaries, axis=-2), *hier_attn)
 
 
 def attentive_stats_pool(x: Tensor, w: Tensor, b: Tensor, v: Tensor,
-                         var_floor: float = 1e-12, mask=None) -> Tensor:
+                         var_floor: float = 1e-12, lengths=None) -> Tensor:
     """Attention-weighted mean and std per channel of [..., C, T], concatenated to [..., 2C].
 
     The variance is floored (default sqrt -> std floor 1e-6) so constant
-    inputs stay differentiable. With a `mask` ([B, T]) padded frames get
+    inputs stay differentiable. With `lengths` ([B]) padded frames get
     attention weight 0 (Okabe et al., arXiv:1803.10963, over valid frames).
     """
     if x.shape[-1] < 1:
         raise ShapeError("attentive stats pooling needs at least one frame")
-    weights = attention_weights(x.T, w, b, v, mask)
+    weights = attention_weights(x.T, w, b, v, lengths)
     col = weights.reshape(weights.shape + (1,))
     channels = x.shape[:-1]
     mean = (x @ col).reshape(channels)
@@ -433,14 +432,14 @@ class SERModel:
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"])
 
-    def _attention(self, x: Tensor, prefix: str, mask=None) -> Tensor:
+    def _attention(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
         q = self._project(x, f"{prefix}.q")
         k = self._project(x, f"{prefix}.k")
         v = self._project(x, f"{prefix}.v")
-        heads = multi_head_attention(q, k, v, self.cfg.encoder.num_heads, mask)
+        heads = multi_head_attention(q, k, v, self.cfg.encoder.num_heads, lengths)
         return self._linear(heads, f"{prefix}.out")
 
-    def encoder_forward(self, features: Tensor, mask=None) -> Tensor:
+    def encoder_forward(self, features: Tensor, lengths=None) -> Tensor:
         """Frozen encoder with LoRA over [..., T, D]; gradient reaches only adapter parameters."""
         if features.data.ndim not in (2, 3):
             raise ShapeError(f"features must be [T, D] or [B, T, D], got {features.data.shape}")
@@ -454,22 +453,22 @@ class SERModel:
         h = self._linear(features, "encoder.in_proj")
         for i in range(self.cfg.encoder.num_layers):
             p = f"encoder.layer{i}"
-            h = h + self._attention(self._layer_norm(h, f"{p}.ln1"), f"{p}.attn", mask)
+            h = h + self._attention(self._layer_norm(h, f"{p}.ln1"), f"{p}.attn", lengths)
             n = self._layer_norm(h, f"{p}.ln2")
             ff = self._linear(n, f"{p}.ff.w1").relu()
             h = h + self._linear(ff, f"{p}.ff.w2")
         return self._layer_norm(h, "encoder.ln_out")
 
-    def _conv(self, x: Tensor, prefix: str, dilation: int = 1, mask=None) -> Tensor:
+    def _conv(self, x: Tensor, prefix: str, dilation: int = 1, lengths=None) -> Tensor:
         return conv1d_dilated(x, self.params[f"{prefix}.weight"], self.params[f"{prefix}.bias"],
-                              dilation=dilation, mask=mask)
+                              dilation=dilation, lengths=lengths)
 
-    def _group_norm(self, x: Tensor, prefix: str, mask=None) -> Tensor:
+    def _group_norm(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
         e = self.cfg.ecapa
         return group_norm(x, e.gn_groups, self.params[f"{prefix}.gamma"],
-                          self.params[f"{prefix}.beta"], eps=e.gn_eps, mask=mask)
+                          self.params[f"{prefix}.beta"], eps=e.gn_eps, lengths=lengths)
 
-    def ecapa_block_forward(self, x: Tensor, block_index: int, mask=None) -> Tensor:
+    def ecapa_block_forward(self, x: Tensor, block_index: int, lengths=None) -> Tensor:
         """SE-Res2 block over [..., C, T]: 1x1 conv, Res2 dilated convs, 1x1 conv, SE gate,
         residual."""
         e = self.cfg.ecapa
@@ -477,47 +476,46 @@ class SERModel:
         dilation = e.dilations[block_index]
         width = e.channels // e.res2_scale
 
-        out = self._group_norm(self._conv(x, f"{p}.conv1"), f"{p}.gn1", mask).relu()
+        out = self._group_norm(self._conv(x, f"{p}.conv1"), f"{p}.gn1", lengths).relu()
         # Res2 split: first chunk passes through, the rest get dilated convs.
         chunks = [out[..., 0:width, :]]
         for j in range(1, e.res2_scale):
             chunks.append(self._conv(out[..., j * width:(j + 1) * width, :],
-                                     f"{p}.res2.conv{j}", dilation, mask))
-        out = self._group_norm(concat(chunks, axis=-2), f"{p}.gn2", mask).relu()
-        out = self._group_norm(self._conv(out, f"{p}.conv3"), f"{p}.gn3", mask)
+                                     f"{p}.res2.conv{j}", dilation, lengths))
+        out = self._group_norm(concat(chunks, axis=-2), f"{p}.gn2", lengths).relu()
+        out = self._group_norm(self._conv(out, f"{p}.conv3"), f"{p}.gn3", lengths)
         # Squeeze-excitation channel gate from the time-averaged signal.
         # GroupNorm left padded frames at exactly zero, so a sum over T
         # divided by the length is the mean over valid frames.
-        if mask is None:
-            squeeze = out.mean(axis=-1, keepdims=True)
-        else:
-            squeeze = out.sum(axis=-1, keepdims=True) / np.sum(mask, axis=-1)[:, None, None]
+        frames = out.shape[-1] if lengths is None else lengths[:, None, None]
+        squeeze = out.sum(axis=-1, keepdims=True) / frames
         gate = self._linear(squeeze.T, f"{p}.se.fc1").relu()
         gate = self._linear(gate, f"{p}.se.fc2").sigmoid()
         return x + out * gate.T
 
-    def ecapa_forward(self, hidden: Tensor, mask=None) -> Tensor:
+    def ecapa_forward(self, hidden: Tensor, lengths=None) -> Tensor:
         """Frame-level ECAPA stack on encoder output [..., T, d] -> [..., C, T]."""
-        x = self._conv(hidden.T, "ecapa.input.conv", mask=mask)
-        x = self._group_norm(x, "ecapa.input.gn", mask).relu()
+        x = self._conv(hidden.T, "ecapa.input.conv", lengths=lengths)
+        x = self._group_norm(x, "ecapa.input.gn", lengths).relu()
         block_outs = []
         for i in range(len(self.cfg.ecapa.dilations)):
-            x = self.ecapa_block_forward(x, i, mask)
+            x = self.ecapa_block_forward(x, i, lengths)
             block_outs.append(x)
         x = self._conv(concat(block_outs, axis=-2), "ecapa.mfa.conv")
-        return self._group_norm(x, "ecapa.mfa.gn", mask).relu()
+        return self._group_norm(x, "ecapa.mfa.gn", lengths).relu()
 
     def _pool_params(self, prefix: str):
         return (self.params[f"{prefix}.W"], self.params[f"{prefix}.b"], self.params[f"{prefix}.v"])
 
-    def pooled_representation(self, features: Tensor, mask=None) -> Tensor:
+    def pooled_representation(self, features: Tensor, lengths=None) -> Tensor:
         """[..., T, D] features -> fixed-size [..., 3C] vector feeding both heads."""
-        hidden = self.encoder_forward(features, mask)
-        frames = self.ecapa_forward(hidden, mask)            # [..., C, T]
-        stats = attentive_stats_pool(frames, *self._pool_params("ecapa.stats.attn"), mask=mask)
+        hidden = self.encoder_forward(features, lengths)
+        frames = self.ecapa_forward(hidden, lengths)            # [..., C, T]
+        stats = attentive_stats_pool(frames, *self._pool_params("ecapa.stats.attn"),
+                                     lengths=lengths)
         summary = multiscale_hierarchical_pool(frames.T, self.cfg.pooling,
                                                self._pool_params("pool.scale_attn"),
-                                               self._pool_params("pool.hier_attn"), mask=mask)
+                                               self._pool_params("pool.hier_attn"), lengths)
         return concat([stats, summary], axis=-1)
 
     def forward_batch(self, features, lengths) -> tuple:
@@ -534,10 +532,10 @@ class SERModel:
             raise ShapeError(f"forward_batch expects features [B, T, D] and lengths [B], got "
                              f"{features.shape} and {lengths.shape}")
         t = features.shape[1]
-        if lengths.size == 0 or lengths.min() < 1 or lengths.max() > t:
-            raise ShapeError(f"lengths must lie in [1, {t}], got {lengths.tolist()}")
-        mask = None if np.all(lengths == t) else np.arange(t) < lengths[:, None]
-        pooled = self.pooled_representation(features, mask)
+        if (lengths.size == 0 or lengths.dtype.kind not in "iu"
+                or lengths.min() < 1 or lengths.max() > t):
+            raise ShapeError(f"lengths must be integers in [1, {t}], got {lengths.tolist()}")
+        pooled = self.pooled_representation(features, None if np.all(lengths == t) else lengths)
         logits = self._linear(pooled, "head.cat")
         dims = self._linear(pooled, "head.dim").sigmoid()
         return logits.softmax(), dims, logits

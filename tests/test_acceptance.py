@@ -27,7 +27,6 @@ from serkit.datapipe import (
     window_split,
 )
 from serkit.evaluation import (
-    ConfusionMatrix,
     ccc_metric,
     ensemble_predict,
     select_top_checkpoints,
@@ -199,7 +198,7 @@ def test_metrics():
             counts = rng.integers(0, 25, size=(7, 7))
             if counts.sum(axis=1).max() == 0:
                 continue
-            cm = ConfusionMatrix(counts)
+            cm = counts
             recalls = [counts[c, c] / counts[c].sum() for c in range(7)
                        if counts[c].sum() > 0]
             assert abs(uar(cm) - float(np.mean(recalls))) < 1e-12
@@ -210,9 +209,8 @@ def test_metrics():
             counts = rng.integers(1, 12, size=(7, 7))
             boosted = counts.copy()
             boosted[2] *= 7
-            assert abs(uar(ConfusionMatrix(counts)) - uar(ConfusionMatrix(boosted))) < 1e-12
-            if abs(weighted_accuracy(ConfusionMatrix(counts))
-                   - weighted_accuracy(ConfusionMatrix(boosted))) > 1e-12:
+            assert abs(uar(counts) - uar(boosted)) < 1e-12
+            if abs(weighted_accuracy(counts) - weighted_accuracy(boosted)) > 1e-12:
                 wa_changed += 1
         assert wa_changed > 180
 
@@ -220,9 +218,9 @@ def test_metrics():
 def test_ensemble():
     with criterion("ensemble"):
         # Top-4 selection against a hand-sorted fixture
-        history = [(f"e{i}", loss) for i, loss in enumerate([0.9, 0.5, 0.7, 0.4, 0.6])]
+        history = [(f"e{i}", i + 1, loss) for i, loss in enumerate([0.9, 0.5, 0.7, 0.4, 0.6])]
         assert select_top_checkpoints(history, k=4) == ["e3", "e1", "e4", "e2"]
-        tie = [("first", 0.5), ("mid", 0.6), ("later", 0.5)]
+        tie = [("first", 1, 0.5), ("mid", 2, 0.6), ("later", 3, 0.5)]
         assert select_top_checkpoints(tie, k=1) == ["first"]
 
         cfg = ModelConfig(feature_dim=16, seed=5)

@@ -80,7 +80,7 @@ class TestNoise:
         assert measured_snr_db(x, out) == pytest.approx(8.0, abs=0.01)
 
     def test_empty_noise_directory_rejected(self, tmp_path):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="no .serf noise file"):
             DirectoryNoiseSource(str(tmp_path))
 
 

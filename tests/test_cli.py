@@ -478,6 +478,14 @@ class TestMalformedInputs:
         assert main(argv) == code
         assert "cannot read" in self._one_error_line(capsys, "config" if code == 1 else "data")
 
+    def test_noise_dir_without_noise_files_exit_1(self, tmp_path, datasets, tiny_config, capsys):
+        noise_dir = tmp_path / "noise"
+        noise_dir.mkdir()
+        (noise_dir / "readme.txt").write_text("not a feature file\n")
+        assert self._train(tmp_path, datasets, tiny_config,
+                           "--set", f"augment.noise_dir={noise_dir}") == 1
+        assert "no .serf noise file" in self._one_error_line(capsys, "config")
+
     def test_report_csv_not_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"metric,value\nuar_7,0.5\nuar_\xff,0.25\n")

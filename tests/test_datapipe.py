@@ -115,27 +115,20 @@ class TestUtterancePseudoLabel:
     def test_modal_emotion_above_threshold(self, cfg):
         labels = [EmotionLabel.ANGRY, EmotionLabel.ANGRY, EmotionLabel.NEUTRAL,
                   EmotionLabel.ANGRY]
-        out = utterance_pseudo_label(labels, cfg)
-        assert out.label == EmotionLabel.ANGRY
-        assert out.emotional_fraction == pytest.approx(0.75)
+        assert utterance_pseudo_label(labels, cfg) == EmotionLabel.ANGRY
 
     def test_all_neutral(self, cfg):
-        out = utterance_pseudo_label([EmotionLabel.NEUTRAL] * 5, cfg)
-        assert out.label == EmotionLabel.NEUTRAL
-        assert out.emotional_fraction == 0.0
+        assert utterance_pseudo_label([EmotionLabel.NEUTRAL] * 5, cfg) == EmotionLabel.NEUTRAL
 
     def test_below_threshold_falls_back(self, cfg):
         labels = ([EmotionLabel.HAPPY] + [EmotionLabel.SAD]
                   + [EmotionLabel.NEUTRAL] * 6)
-        out = utterance_pseudo_label(labels, cfg)
-        assert out.label == EmotionLabel.NEUTRAL
-        assert out.emotional_fraction == pytest.approx(0.125)
+        assert utterance_pseudo_label(labels, cfg) == EmotionLabel.NEUTRAL
 
     def test_tie_breaks_by_canonical_order(self, cfg):
         labels = [EmotionLabel.SAD, EmotionLabel.HAPPY, EmotionLabel.HAPPY,
                   EmotionLabel.SAD]
-        out = utterance_pseudo_label(labels, cfg)
-        assert out.label == EmotionLabel.HAPPY  # Happy=1 precedes Sad=2
+        assert utterance_pseudo_label(labels, cfg) == EmotionLabel.HAPPY  # Happy=1 precedes Sad=2
 
     def test_empty_rejected(self, cfg):
         with pytest.raises(DataError):

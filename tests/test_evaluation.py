@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from serkit import evaluation
 from serkit.datapipe import (
     ManifestRecord,
     read_features,
@@ -15,7 +16,6 @@ from serkit.datapipe import (
 from serkit.errors import DataError
 from serkit.evaluation import (
     PRIMARY_FOUR,
-    ConfusionMatrix,
     ccc_metric,
     ensemble_predict,
     evaluate_manifest,
@@ -38,49 +38,28 @@ def brute_force_uar(counts: np.ndarray, classes=None) -> float:
     return float(np.mean(recalls))
 
 
-class TestConfusionMatrix:
-    def test_diagonal_increment(self):
-        cm = ConfusionMatrix().accumulate(EmotionLabel.NEUTRAL, EmotionLabel.NEUTRAL)
-        assert cm.counts[0, 0] == 1 and cm.n_scored == 1
-
-    def test_off_diagonal_increment(self):
-        cm = ConfusionMatrix().accumulate(EmotionLabel.HAPPY, EmotionLabel.SAD)
-        assert cm.counts[1, 2] == 1
-
-    def test_total_counts_random_pairs(self):
-        rng = np.random.default_rng(1)
-        cm = ConfusionMatrix()
-        n = 500
-        for _ in range(n):
-            cm.accumulate(int(rng.integers(0, 7)), int(rng.integers(0, 7)))
-        assert cm.n_scored == n
-
-
 class TestUAR:
     def test_two_class_embedded_example(self):
         counts = np.zeros((7, 7), dtype=int)
         counts[0, 0], counts[0, 1] = 9, 1   # recall 0.9
         counts[1, 0], counts[1, 1] = 2, 2   # recall 0.5
-        assert uar(ConfusionMatrix(counts)) == pytest.approx(0.7)
+        assert uar(counts) == pytest.approx(0.7)
 
     def test_perfect_diagonal(self):
-        cm = ConfusionMatrix(np.diag([5, 3, 8, 1, 2, 9, 4]))
-        assert uar(cm) == 1.0
+        assert uar(np.diag([5, 3, 8, 1, 2, 9, 4])) == 1.0
 
     def test_brute_force_fuzz(self):
         rng = np.random.default_rng(3)
         for _ in range(10_000):
             counts = rng.integers(0, 20, size=(7, 7))
-            cm = ConfusionMatrix(counts)
-            assert abs(uar(cm) - brute_force_uar(counts)) < 1e-12
+            assert abs(uar(counts) - brute_force_uar(counts)) < 1e-12
 
     def test_subset_equals_row_restricted_computation(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             counts = rng.integers(0, 15, size=(7, 7))
-            cm = ConfusionMatrix(counts)
             subset = sorted(int(c) for c in PRIMARY_FOUR)
-            assert uar(cm, PRIMARY_FOUR) == pytest.approx(
+            assert uar(counts, PRIMARY_FOUR) == pytest.approx(
                 brute_force_uar(counts, subset), abs=1e-12)
 
     def test_duplication_invariance_vs_weighted_accuracy(self):
@@ -90,11 +69,11 @@ class TestUAR:
             counts = rng.integers(1, 10, size=(7, 7))
             duplicated = counts.copy()
             duplicated[3] *= 5  # clone every Angry utterance 5x
-            u0 = uar(ConfusionMatrix(counts))
-            u1 = uar(ConfusionMatrix(duplicated))
+            u0 = uar(counts)
+            u1 = uar(duplicated)
             assert abs(u0 - u1) < 1e-12
-            w0 = weighted_accuracy(ConfusionMatrix(counts))
-            w1 = weighted_accuracy(ConfusionMatrix(duplicated))
+            w0 = weighted_accuracy(counts)
+            w1 = weighted_accuracy(duplicated)
             if abs(w0 - w1) > 1e-12:
                 wa_changed += 1
         assert wa_changed > 90  # weighted accuracy is generally NOT invariant
@@ -103,16 +82,16 @@ class TestUAR:
         counts = np.zeros((7, 7), dtype=int)
         counts[0, 0] = 10
         counts[1, 1], counts[1, 0] = 3, 1
-        assert uar(ConfusionMatrix(counts)) == pytest.approx((1.0 + 0.75) / 2)
+        assert uar(counts) == pytest.approx((1.0 + 0.75) / 2)
 
     def test_all_zero_support_rejected(self):
         with pytest.raises(DataError):
-            uar(ConfusionMatrix())
+            uar(np.zeros((7, 7), dtype=np.int64))
 
     def test_per_class_recall_nan_for_unsupported(self):
         counts = np.zeros((7, 7), dtype=int)
         counts[2, 2] = 4
-        recall = per_class_recall(ConfusionMatrix(counts))
+        recall = per_class_recall(counts)
         assert recall[2] == 1.0
         assert np.isnan(recall[0])
 
@@ -162,18 +141,28 @@ class TestCCCMetric:
 
 
 class TestTopCheckpointSelection:
+    """History entries are `TrainState.history` triples (path, epoch, dev_cat_loss)."""
+
     def test_lowest_losses_win(self):
-        history = [(f"ck{i}", loss) for i, loss in enumerate([0.9, 0.5, 0.7, 0.4, 0.6])]
+        history = [(f"ck{i}", i + 1, loss) for i, loss in enumerate([0.9, 0.5, 0.7, 0.4, 0.6])]
         assert select_top_checkpoints(history, k=4) == ["ck3", "ck1", "ck4", "ck2"]
 
     def test_underfull_history_returns_all(self):
-        history = [("a", 0.5), ("b", 0.4)]
+        history = [("a", 1, 0.5), ("b", 2, 0.4)]
         assert select_top_checkpoints(history, k=4) == ["b", "a"]
 
     def test_tie_prefers_earlier_epoch(self):
-        history = [("e1", 0.9), ("e2", 0.5), ("e3", 0.8), ("e8", 0.5)]
+        history = [("e1", 1, 0.9), ("e2", 2, 0.5), ("e3", 3, 0.8), ("e8", 8, 0.5)]
         assert select_top_checkpoints(history, k=2) == ["e2", "e8"]
         assert select_top_checkpoints(history, k=1) == ["e2"]
+
+    def test_ranks_a_train_loop_history_by_dev_loss(self, tmp_path):
+        from tests.test_training import run_tiny
+
+        _, state = run_tiny(tmp_path, "run", epochs=3, augment=False)
+        by_loss = sorted(state.history, key=lambda entry: entry[2])
+        assert by_loss != state.history         # the ranking is not the epoch order
+        assert select_top_checkpoints(state.history, k=3) == [path for path, *_ in by_loss]
 
     def test_empty_history_rejected(self):
         with pytest.raises(DataError):
@@ -329,13 +318,9 @@ class TestMergedWeighting:
         records = timeline_records(tmp_path, self.ROWS)
         models = [small_model(seed=6), small_model(seed=7)]
         scored = []
-        accumulate = ConfusionMatrix.accumulate
-
-        def record_pair(cm, ref, hyp):
-            scored.append((int(ref), int(hyp)))
-            return accumulate(cm, ref, hyp)
-
-        monkeypatch.setattr(ConfusionMatrix, "accumulate", record_pair)
+        recall = evaluation.per_class_recall
+        monkeypatch.setattr(evaluation, "per_class_recall",
+                            lambda cm: scored.append(cm.copy()) or recall(cm))
         report = evaluate_manifest(models, records, granularity="merged", merge_cap_s=3.0)
 
         outs = [ensemble_predict(models, read_features(r.features_path)) for r in records]
@@ -354,7 +339,10 @@ class TestMergedWeighting:
         cov = np.mean((refs - refs.mean(0)) * (preds - preds.mean(0)), axis=0)
         ccc = 2 * cov / (refs.var(0) + preds.var(0) + (refs.mean(0) - preds.mean(0)) ** 2)
 
-        assert scored == expected
+        counts = np.zeros((7, 7), dtype=np.int64)
+        for label, pred in expected:
+            counts[label, pred] += 1
+        assert all(np.array_equal(cm, counts) for cm in scored) and scored
         assert report.n_scored == len(expected)
         np.testing.assert_allclose(
             [report.ccc_arousal, report.ccc_valence, report.ccc_dominance], ccc, atol=1e-12)

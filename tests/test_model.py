@@ -436,3 +436,5 @@ class TestPaddingInvariance:
             PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [0, 5])
         with pytest.raises(ShapeError):
             PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [5])
+        with pytest.raises(ShapeError, match="integers"):     # frame counts, not fractions
+            PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [5.0, 4.5])
