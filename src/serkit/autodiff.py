@@ -39,6 +39,15 @@ def _valid_frames(lengths, t: int) -> np.ndarray:
     return np.arange(t) < np.asarray(lengths)[:, None]
 
 
+def _softmax(scores: np.ndarray, lengths) -> np.ndarray:
+    """Softmax over the last axis; with `lengths` ([B]) entries past lengths[b] come out 0."""
+    if lengths is not None:
+        scores = np.where(_valid_frames(lengths, scores.shape[-1]), scores, -np.inf)
+    with np.errstate(invalid="ignore"):  # a row of length 0 turns NaN; _make rejects it
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 class _GradMode(threading.local):
     enabled = True
 
@@ -78,7 +87,8 @@ class Tensor:
     """Dense float64 tensor with optional gradient tracking.
 
     Values are immutable once consumed by the forward pass (read-only
-    sharing across threads is safe); parameter tensors are mutated only
+    sharing across threads is safe, and basic slices and `T` are views, so
+    no op writes into an input); parameter tensors are mutated only
     between steps by the optimizer, which owns write access.
     """
 
@@ -257,11 +267,7 @@ class Tensor:
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
             if b.requires_grad:
-                if b.data.ndim == 2:  # shared weight: one product over all batch rows
-                    k, n = b.data.shape
-                    b._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
-                else:
-                    b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
         return Tensor._make(a.data @ b.data, (a, b), "matmul", backward)
 
@@ -274,15 +280,6 @@ class Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             out_data = np.log(a.data)
         return Tensor._make(out_data, (a,), "log", backward)
-
-    def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-
-        def backward(g):
-            a._accumulate(g * (1.0 - out_data * out_data))
-
-        return Tensor._make(out_data, (a,), "tanh", backward)
 
     def sigmoid(self):
         a = self
@@ -339,15 +336,10 @@ class Tensor:
         lengths[b] get probability exactly 0 and no gradient.
         """
         a = self
-        scores = a.data if lengths is None else np.where(
-            _valid_frames(lengths, a.data.shape[-1]), a.data, -np.inf)
-        with np.errstate(invalid="ignore"):  # a row of length 0 turns NaN; _make rejects it
-            e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-        out_data = e / np.sum(e, axis=-1, keepdims=True)
+        out_data = _softmax(a.data, lengths)
 
         def backward(g):
-            dot = np.sum(g * out_data, axis=-1, keepdims=True)
-            a._accumulate(out_data * (g - dot))
+            a._accumulate(out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
 
         return Tensor._make(out_data, (a,), "softmax", backward)
 
@@ -363,7 +355,7 @@ class Tensor:
 
     @property
     def T(self):
-        """Matrix transpose: swaps the last two axes (leading batch axes stay)."""
+        """Matrix transpose, a view: swaps the last two axes (leading batch axes stay)."""
         a = self
         if a.data.ndim < 2:
             raise ShapeError(f"transpose requires rank >= 2, got shape {a.data.shape}")
@@ -371,10 +363,11 @@ class Tensor:
         def backward(g):
             a._accumulate(np.swapaxes(g, -1, -2))
 
-        return Tensor._make(np.swapaxes(a.data, -1, -2).copy(), (a,), "transpose", backward)
+        return Tensor._make(np.swapaxes(a.data, -1, -2), (a,), "transpose", backward)
 
     def __getitem__(self, key):
-        """Basic or integer-array indexing; backward scatter-adds, so repeated indices sum."""
+        """Basic indexing (a view) or integer-array indexing (a copy); backward scatter-adds, so
+        repeated indices sum."""
         a = self
         parts = key if isinstance(key, tuple) else (key,)
         basic = all((isinstance(p, (slice, int, np.integer)) and not isinstance(p, bool))
@@ -388,7 +381,7 @@ class Tensor:
             else:
                 np.add.at(a.grad, key, g)
 
-        return Tensor._make(a.data[key].copy(), (a,), "slice", backward)
+        return Tensor._make(a.data[key], (a,), "slice", backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -406,6 +399,79 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(index)])
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat", backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor, lora: tuple | None = None) -> Tensor:
+    """x W^T + b over [..., d_in] -> [..., d_out], plus s * (x A^T) B^T for lora = (A, B, s).
+
+    One node. Backward keeps x and, with LoRA, the [..., rank] product x A^T, and computes
+    only the gradients some input wants (none for a frozen W or b, or an x without grad).
+    """
+    if weight.data.ndim != 2 or x.data.shape[-1] != weight.data.shape[1]:
+        raise ShapeError(f"linear shape mismatch {x.data.shape} @ {weight.data.shape}^T")
+    out_data = x.data @ weight.data.T
+    out_data += bias.data
+    parents = [x, weight, bias]
+    if lora is not None:
+        a, b, scale = lora
+        xa = x.data @ a.data.T
+        out_data += (xa @ b.data.T) * scale
+        parents += [a, b]
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        xf = x.data.reshape(-1, x.data.shape[-1])
+        if weight.requires_grad:
+            weight._accumulate(g.T @ xf)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        dxa = None
+        if lora is not None:
+            gs = g * scale
+            if b.requires_grad:
+                b._accumulate(gs.T @ xa.reshape(-1, xa.shape[-1]))
+            if a.requires_grad or x.requires_grad:
+                dxa = gs @ b.data           # d (x A^T)
+            if a.requires_grad:
+                a._accumulate(dxa.T @ xf)
+        if x.requires_grad:
+            dx = g @ weight.data
+            if dxa is not None:
+                dx += dxa @ a.data
+            x._accumulate(dx.reshape(x.data.shape))
+
+    return Tensor._make(out_data, parents, "linear", backward)
+
+
+def attention_weights(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, lengths=None) -> Tensor:
+    """Additive-attention weights over the rows u_i of [..., n, d]: softmax_i v^T tanh(W u_i + b).
+
+    With `lengths` ([B] for [B, n, d]) rows past lengths[b] get weight exactly 0 and no
+    gradient. One node; backward keeps tanh(W u + b) [..., n, h] and the weights.
+    """
+    if seq.data.ndim < 2 or w.data.shape != (v.data.size, seq.data.shape[-1]):
+        raise ShapeError(f"attention_weights: rows {seq.data.shape}, W {w.data.shape}, "
+                         f"v {v.data.shape}")
+    hidden = np.tanh(seq.data @ w.data.T + b.data)
+    p = _softmax(hidden @ v.data, lengths)
+
+    def backward(g):
+        ds = (p * (g - np.sum(g * p, axis=-1, keepdims=True))).reshape(-1, 1)   # d scores
+        hf = hidden.reshape(-1, hidden.shape[-1])
+        if v.requires_grad:
+            v._accumulate(ds[:, 0] @ hf)
+        if w.requires_grad or b.requires_grad or seq.requires_grad:
+            dz = 1.0 - hf * hf            # d (W u + b) = ds v (1 - tanh^2)
+            dz *= ds
+            dz *= v.data
+            if b.requires_grad:
+                b._accumulate(dz.sum(axis=0))
+            if w.requires_grad:
+                w._accumulate(dz.T @ seq.data.reshape(-1, seq.data.shape[-1]))
+            if seq.requires_grad:
+                seq._accumulate((dz @ w.data).reshape(seq.data.shape))
+
+    return Tensor._make(p, (seq, w, b, v), "attention_weights", backward)
 
 
 def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int = 1,
@@ -487,15 +553,16 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
 
 
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tuple, lengths,
-               op: str) -> Tensor:
+               op: str, relu: bool = False) -> Tensor:
     """The normalisation node behind group_norm and layer_norm.
 
     x is viewed as `grouped` [N, G, C/G, T]. Each (utterance, group) block is normalised over
-    its first `lengths` ([N], or None for all) frames; the others come out 0. Then
-    each channel is scaled by gamma and shifted by beta. Forward makes two full-size buffers,
-    the output and d = (x - mu) * keep, which backward keeps with the per-group rstd instead
-    of xhat. Backward takes dbeta, dgamma and two per-group means from per-(utterance, channel)
-    sums of g and g * d, and builds dx in dx and one scratch buffer.
+    its first `lengths` ([N], or None for all) frames; the others come out 0. Then each channel
+    is scaled by gamma and shifted by beta, and with `relu` clipped at 0 in place (backward
+    masks g by the output). Forward makes two full-size buffers, the output and
+    d = (x - mu) * keep, which backward keeps with the per-group rstd instead of xhat.
+    Backward takes dbeta, dgamma and two per-group means from per-(utterance, channel) sums
+    of g and g * d, and builds dx in dx and one scratch buffer (plus the masked g with relu).
     """
     xg = x.data.reshape(grouped)
     n, groups, width, t = xg.shape
@@ -520,9 +587,14 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tupl
     out_data += beta.data.reshape(scale.shape)
     if keep is not None:
         out_data *= keep
+    if relu:
+        np.maximum(out_data, 0.0, out=out_data)
+        out_data += 0.0     # -0.0 -> +0.0, as Tensor.relu
 
     def backward(g):
         g = g.reshape(xg.shape)
+        if relu:
+            g = g * (out_data > 0)
         if keep is not None:     # padded outputs are constant zeros: their g counts nowhere
             g_sum = np.einsum("ngwt,nt->ngw", g, keep.reshape(n, t))
         else:                    # one frame per row: the sum over time is g itself
@@ -550,11 +622,12 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, grouped: tupl
 
 
 def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
-               lengths=None) -> Tensor:
+               lengths=None, relu: bool = False) -> Tensor:
     """GroupNorm over [..., C, T]: per-group stats over the group's channels x all time steps.
 
     With `lengths` ([B]) the statistics cover valid frames only and padded
-    frames come out as exact zeros. One `_normalize` node, two full-size buffers each way.
+    frames come out as exact zeros. With `relu` the output is max(GroupNorm, 0) in the same
+    node. One `_normalize` node, two full-size buffers each way (three in backward with relu).
     """
     if x.data.ndim < 2:
         raise ShapeError(f"group_norm expects [..., C, T], got shape {x.data.shape}")
@@ -564,7 +637,7 @@ def group_norm(x: Tensor, num_groups: int, gamma: Tensor, beta: Tensor, eps: flo
     if eps <= 0:
         raise ConfigError(f"group_norm eps must be > 0, got {eps}")
     return _normalize(x, gamma, beta, eps, (-1, num_groups, c // num_groups, t), lengths,
-                      "group_norm")
+                      "group_norm_relu" if relu else "group_norm", relu)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

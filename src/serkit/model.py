@@ -29,10 +29,12 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    attention_weights,
     concat,
     conv1d_dilated,
     group_norm,
     layer_norm,
+    linear,
     multi_head_attention,
 )
 from .errors import ConfigError, ShapeError
@@ -170,10 +172,6 @@ class LoraAdapter:
     def scaling(self) -> float:
         return self.alpha / self.rank
 
-    def delta(self, x: Tensor) -> Tensor:
-        """Adapter contribution (alpha/rank) * (x @ A^T) @ B^T; exact zero while B is zero."""
-        return ((x @ self.A.T) @ self.B.T) * self.scaling
-
 
 def lora_merge(base_weight: Tensor, adapter: LoraAdapter) -> Tensor:
     """Dense merge W' = W + (alpha/rank) * B @ A."""
@@ -203,15 +201,6 @@ def _window_matrix(t: int, scale: int, lengths=None) -> tuple:
     counts = hi - lo
     matrix = inside / np.maximum(counts, 1)[..., None]
     return matrix, (None if lengths is None else np.sum(counts > 0, axis=-1))
-
-
-def attention_weights(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, lengths=None) -> Tensor:
-    """Additive-attention weights over the rows of [..., n, d]: softmax of v^T tanh(W u_i + b).
-
-    With `lengths` ([B] for [B, n, d]) rows past lengths[b] get weight 0.
-    """
-    scores = (seq @ w.T + b).tanh() @ v.reshape(-1, 1)
-    return scores.reshape(scores.shape[:-1]).softmax(lengths)
 
 
 def additive_attention(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, lengths=None) -> Tensor:
@@ -420,22 +409,18 @@ class SERModel:
     # -- forward pieces --
 
     def _linear(self, x: Tensor, prefix: str) -> Tensor:
-        return x @ self.params[f"{prefix}.weight"].T + self.params[f"{prefix}.bias"]
-
-    def _project(self, x: Tensor, prefix: str) -> Tensor:
-        out = self._linear(x, prefix)
+        """The projection `prefix`, with its LoRA adapter if it has one."""
         adapter = self.adapters.get(prefix)
-        if adapter is not None:
-            out = out + adapter.delta(x)
-        return out
+        return linear(x, self.params[f"{prefix}.weight"], self.params[f"{prefix}.bias"],
+                      None if adapter is None else (adapter.A, adapter.B, adapter.scaling))
 
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"])
 
     def _attention(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
-        q = self._project(x, f"{prefix}.q")
-        k = self._project(x, f"{prefix}.k")
-        v = self._project(x, f"{prefix}.v")
+        q = self._linear(x, f"{prefix}.q")
+        k = self._linear(x, f"{prefix}.k")
+        v = self._linear(x, f"{prefix}.v")
         heads = multi_head_attention(q, k, v, self.cfg.encoder.num_heads, lengths)
         return self._linear(heads, f"{prefix}.out")
 
@@ -463,10 +448,10 @@ class SERModel:
         return conv1d_dilated(x, self.params[f"{prefix}.weight"], self.params[f"{prefix}.bias"],
                               dilation=dilation, lengths=lengths)
 
-    def _group_norm(self, x: Tensor, prefix: str, lengths=None) -> Tensor:
+    def _group_norm(self, x: Tensor, prefix: str, lengths=None, relu: bool = True) -> Tensor:
         e = self.cfg.ecapa
         return group_norm(x, e.gn_groups, self.params[f"{prefix}.gamma"],
-                          self.params[f"{prefix}.beta"], eps=e.gn_eps, lengths=lengths)
+                          self.params[f"{prefix}.beta"], eps=e.gn_eps, lengths=lengths, relu=relu)
 
     def ecapa_block_forward(self, x: Tensor, block_index: int, lengths=None) -> Tensor:
         """SE-Res2 block over [..., C, T]: 1x1 conv, Res2 dilated convs, 1x1 conv, SE gate,
@@ -476,14 +461,14 @@ class SERModel:
         dilation = e.dilations[block_index]
         width = e.channels // e.res2_scale
 
-        out = self._group_norm(self._conv(x, f"{p}.conv1"), f"{p}.gn1", lengths).relu()
+        out = self._group_norm(self._conv(x, f"{p}.conv1"), f"{p}.gn1", lengths)
         # Res2 split: first chunk passes through, the rest get dilated convs.
         chunks = [out[..., 0:width, :]]
         for j in range(1, e.res2_scale):
             chunks.append(self._conv(out[..., j * width:(j + 1) * width, :],
                                      f"{p}.res2.conv{j}", dilation, lengths))
-        out = self._group_norm(concat(chunks, axis=-2), f"{p}.gn2", lengths).relu()
-        out = self._group_norm(self._conv(out, f"{p}.conv3"), f"{p}.gn3", lengths)
+        out = self._group_norm(concat(chunks, axis=-2), f"{p}.gn2", lengths)
+        out = self._group_norm(self._conv(out, f"{p}.conv3"), f"{p}.gn3", lengths, relu=False)
         # Squeeze-excitation channel gate from the time-averaged signal.
         # GroupNorm left padded frames at exactly zero, so a sum over T
         # divided by the length is the mean over valid frames.
@@ -496,13 +481,13 @@ class SERModel:
     def ecapa_forward(self, hidden: Tensor, lengths=None) -> Tensor:
         """Frame-level ECAPA stack on encoder output [..., T, d] -> [..., C, T]."""
         x = self._conv(hidden.T, "ecapa.input.conv", lengths=lengths)
-        x = self._group_norm(x, "ecapa.input.gn", lengths).relu()
+        x = self._group_norm(x, "ecapa.input.gn", lengths)
         block_outs = []
         for i in range(len(self.cfg.ecapa.dilations)):
             x = self.ecapa_block_forward(x, i, lengths)
             block_outs.append(x)
         x = self._conv(concat(block_outs, axis=-2), "ecapa.mfa.conv")
-        return self._group_norm(x, "ecapa.mfa.gn", lengths).relu()
+        return self._group_norm(x, "ecapa.mfa.gn", lengths)
 
     def _pool_params(self, prefix: str):
         return (self.params[f"{prefix}.W"], self.params[f"{prefix}.b"], self.params[f"{prefix}.v"])

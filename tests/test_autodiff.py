@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from serkit import autodiff
@@ -13,9 +13,11 @@ from serkit.autodiff import (
     Tensor,
     concat,
     conv1d_dilated,
+    attention_weights,
     finite_difference_gradient,
     group_norm,
     layer_norm,
+    linear,
     multi_head_attention,
     no_grad,
     relative_error,
@@ -46,6 +48,11 @@ def fd_check(build, x0: np.ndarray, tol: float = PRIMITIVE_TOL):
     err = relative_error(analytic, oracle)
     assert err < tol, f"gradient mismatch: rel err {err:.3e}"
     return err
+
+
+def tanh(x: Tensor) -> Tensor:
+    """tanh(x) = 2 sigmoid(2x) - 1, composed from engine ops (the engine has no tanh op)."""
+    return (x * 2.0).sigmoid() * 2.0 - 1.0
 
 
 class TestBasics:
@@ -180,7 +187,7 @@ class TestPrimitiveGradients:
     def test_elementwise_chain(self, trial):
         rng = np.random.default_rng(1000 + trial)
         x0 = rng.uniform(-1.0, 1.0, size=(3, 4))
-        fd_check(lambda x: ((x * 0.7 + 0.1) - (x * x) * 0.3).tanh(), x0)
+        fd_check(lambda x: tanh((x * 0.7 + 0.1) - (x * x) * 0.3), x0)
 
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_exp_log_div(self, trial):
@@ -307,7 +314,7 @@ class TestThreeLayerNet:
             for i, w in enumerate([ws["w0"], ws["w1"], ws["w2"]]):
                 h = h @ w
                 if i < 2:
-                    h = h.tanh()
+                    h = tanh(h)
             return (h * h).sum()
 
         inputs = {f"w{i}": Tensor(w, requires_grad=True) for i, w in enumerate(weights)}
@@ -435,7 +442,7 @@ class TestNumericContracts:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-            out = ((x @ w).tanh()).softmax().sum()
+            out = tanh(x @ w).softmax().sum()
             out.backward()
             return out.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -811,6 +818,139 @@ class TestNormDifferential:
             assert np.array_equal(joint[i], grads({i})[i])
 
 
+def _fused_check(arrays, build, reference, wanted, view):
+    """One fused op against its numpy reference, FD, single-input runs and no_grad.
+
+    `wanted[i]` says whether input i requires grad in the joint run. With `view` the first
+    input reaches the op as a transposed view of its leaf, so an op that wrote into its input
+    would change the leaf's bytes; no input may change through forward and backward.
+    """
+    expected = reference(*arrays)
+    np.testing.assert_allclose(build(*map(Tensor, arrays)).data, expected, rtol=0, atol=1e-12)
+    # At the FD contract's 1e-4: a softmax's gradients can sit at the oracle's 1e-6 floor,
+    # where central differences resolve them to about 1e-5.
+    for i in range(len(arrays)):
+        fd_check(lambda t, i=i: build(*[t if j == i else Tensor(a)
+                                        for j, a in enumerate(arrays)]), arrays[i], tol=1e-4)
+    mix = Tensor(np.random.default_rng(len(arrays)).normal(size=expected.shape))
+
+    def run(wanted):
+        first = np.swapaxes(arrays[0], -1, -2).copy() if view else arrays[0].copy()
+        leaves = [Tensor(a, requires_grad=w)
+                  for a, w in zip([first] + [a.copy() for a in arrays[1:]], wanted)]
+        before = [leaf.data.tobytes() for leaf in leaves]
+        out = build(*([leaves[0].T if view else leaves[0]] + leaves[1:]))
+        assert _linked(out) == any(wanted)
+        if any(wanted):
+            (out * mix).sum().backward()
+        assert [leaf.data.tobytes() for leaf in leaves] == before
+        grads = [leaf.grad for leaf in leaves]
+        if view and grads[0] is not None:
+            grads[0] = np.swapaxes(grads[0], -1, -2)
+        return grads, leaves
+
+    joint, leaves = run(wanted)
+    for i, grad in enumerate(joint):
+        assert (grad is None) != wanted[i]
+        if grad is not None:
+            assert np.array_equal(grad, run([j == i for j in range(len(arrays))])[0][i])
+            others = [leaf.grad for leaf in leaves[i + 1:]] + [leaf.data for leaf in leaves]
+            assert not any(np.shares_memory(leaves[i].grad, other)
+                           for other in others if other is not None)
+    tracked = build(*[Tensor(a, requires_grad=True) for a in arrays])
+    with no_grad():
+        free = build(*[Tensor(a, requires_grad=True) for a in arrays])
+    assert _linked(tracked) and not _linked(free)
+    assert free.data.tobytes() == tracked.data.tobytes()
+
+
+def _grad_flags(bits: int, n: int) -> list:
+    return [bool(bits >> i & 1) for i in range(n)]
+
+
+class TestFusedDifferential:
+    """linear (with and without LoRA), attention_weights and GroupNorm+ReLU: each one node,
+    checked by `_fused_check` over drawn shapes, lengths and requires_grad flags."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(lead=st.lists(st.integers(1, 3), min_size=1, max_size=2), d_in=st.integers(1, 4),
+           d_out=st.integers(1, 4), rank=st.integers(0, 2), grad_bits=st.integers(0, 31),
+           view=st.booleans(), seed=st.integers(0, 2**16))
+    def test_linear(self, lead, d_in, d_out, rank, grad_bits, view, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [tuple(lead) + (d_in,), (d_out, d_in), (d_out,)]
+        shapes += [(rank, d_in), (d_out, rank)] if rank else []
+        arrays = [rng.uniform(-1.0, 1.0, size=shape) for shape in shapes]
+
+        def build(x, w, b, *lora):
+            return linear(x, w, b, (lora[0], lora[1], 1.5) if lora else None)
+
+        def reference(x, w, b, *lora):
+            return x @ w.T + b + ((x @ lora[0].T) @ lora[1].T * 1.5 if lora else 0.0)
+
+        _fused_check(arrays, build, reference, _grad_flags(grad_bits, len(arrays)), view)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(lengths=st.one_of(st.none(), st.lists(st.integers(1, 5), min_size=1, max_size=3)),
+           batched=st.booleans(), extra=st.integers(0, 2), d=st.integers(1, 3),
+           hidden=st.integers(1, 3), grad_bits=st.integers(0, 15), view=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_attention_weights(self, lengths, batched, extra, d, hidden, grad_bits, view, seed):
+        rng = np.random.default_rng(seed)
+        n = max(lengths or [3]) + extra
+        lead = (len(lengths),) if lengths is not None else (2,) if batched else ()
+        arrays = [rng.uniform(-1.0, 1.0, size=shape)     # padded rows hold junk
+                  for shape in (lead + (n, d), (hidden, d), (hidden,), (hidden,))]
+        arrays[1] *= 2.0
+
+        def build(seq, w, b, v):
+            return attention_weights(seq, w, b, v, lengths)
+
+        def reference(seq, w, b, v):
+            scores = np.tanh(seq @ w.T + b) @ v
+            out = np.zeros_like(scores)
+            for row in np.ndindex(scores.shape[:-1]):
+                k = n if lengths is None else lengths[row[0]]
+                e = np.exp(scores[row][:k] - scores[row][:k].max())
+                out[row][:k] = e / e.sum()
+            return out
+
+        _fused_check(arrays, build, reference, _grad_flags(grad_bits, 4), view)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(groups=st.integers(1, 3), width=st.integers(1, 3),
+           lengths=st.lists(st.integers(1, 5), min_size=1, max_size=3), extra=st.integers(0, 2),
+           masked=st.booleans(), eps=st.sampled_from([1e-3, 0.1]), grad_bits=st.integers(0, 7),
+           view=st.booleans(), seed=st.integers(0, 2**16))
+    def test_group_norm_relu(self, groups, width, lengths, extra, masked, eps, grad_bits, view,
+                             seed):
+        rng = np.random.default_rng(seed)
+        c, t = groups * width, max(lengths) + extra
+        valid = lengths if masked else [t] * len(lengths)
+        arrays = [rng.normal(size=(len(lengths), c, t)), rng.uniform(0.5, 1.5, c),
+                  rng.uniform(-0.5, 0.5, c)]
+
+        def normalized(x, gamma, beta):        # GroupNorm over each utterance's valid frames
+            out = np.zeros_like(x)
+            for u, k in enumerate(valid):
+                block = x[u, :, :k].reshape(groups, -1)
+                xhat = (block - block.mean(axis=1, keepdims=True)) / np.sqrt(
+                    block.var(axis=1, keepdims=True) + eps)
+                out[u, :, :k] = xhat.reshape(c, k) * gamma[:, None] + beta[:, None]
+            return out
+
+        pre = normalized(*arrays)
+        valid_mask = np.arange(t) < np.array(valid)[:, None, None]
+        assume(np.all(np.abs(pre[np.broadcast_to(valid_mask, pre.shape)]) > 1e-3))  # off the kink
+
+        def build(x, gamma, beta):
+            return group_norm(x, groups, gamma, beta, eps=eps,
+                              lengths=lengths if masked else None, relu=True)
+
+        _fused_check(arrays, build, lambda *a: np.maximum(normalized(*a), 0.0),
+                     _grad_flags(grad_bits, 3), view)
+
+
 class TestBatchedPrimitives:
     """Leading batch axis and valid lengths on the primitive ops."""
 
@@ -1010,12 +1150,12 @@ class TestNoGrad:
         rng = np.random.default_rng(41)
         w0, x0 = rng.normal(size=(4, 2)), rng.normal(size=(3, 4))
         frozen = Tensor(w0)
-        hidden = (frozen * 2.0).tanh()          # frozen-only: keeps no inputs
+        hidden = (frozen * 2.0) ** 2.0          # frozen-only: keeps no inputs
         x = Tensor(x0, requires_grad=True)
         out = x @ hidden
         (out * out).sum().backward()
         assert not _linked(hidden)
         assert out._parents == (x, hidden) and out._backward is not None
-        h = np.tanh(w0 * 2.0)
+        h = np.power(w0 * 2.0, 2.0)
         np.testing.assert_array_equal(x.grad, (2.0 * (x0 @ h)) @ h.T)
         assert frozen.grad is None

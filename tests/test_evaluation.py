@@ -135,6 +135,20 @@ class TestCCCMetric:
         assert values == (0.0, 0.0, 0.0)
         assert any("constant reference" in r.message for r in caplog.records)
 
+    def test_constant_reference_with_inexact_mean_reports_zero(self, caplog):
+        # The float mean of ten 0.3s is not 0.3, so a variance test sees ~3e-33, not 0.
+        preds = np.random.default_rng(10).uniform(0, 1, size=(100, 3))
+        for n in (3, 7, 10, 33, 100):
+            refs = preds[:n].copy()
+            refs[:, 1] = 0.3
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="serkit.evaluation"):
+                values = ccc_metric(refs, preds[:n])
+            assert values[1] == 0.0, n
+            assert values[0] == values[2] == pytest.approx(1.0, abs=1e-9)
+            assert [r.message for r in caplog.records] == [
+                "constant reference in CCC dimension 1: reporting 0"], n
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(DataError):
             ccc_metric(np.zeros((1, 3)), np.zeros((1, 3)))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from serkit.augment import AugmentConfig, reset_augment_counters, total_augment_count
+from serkit.autodiff import Tensor
 from serkit.checkpoint import load_into_model
+from serkit.config import RunConfig
 from serkit.datapipe import FeatureStore, read_manifest, synth_dataset
 from serkit.errors import DataError
 from serkit.losses import DimTargets, LossConfig
@@ -188,7 +190,50 @@ class TestTrainLoop:
             assert np.array_equal(model.params[name].data, before), name
 
 
+def default_batch(rng, batch=32, frames=18):
+    """A padded batch for the default model: features, lengths and both targets."""
+    lengths = rng.integers(frames // 2, frames + 1, size=batch)
+    lengths[0] = frames
+    valid = np.arange(frames) < lengths[:, None]
+    features = rng.normal(size=(batch, frames, 16)) * valid[..., None]
+    dims = DimTargets(values=rng.uniform(0, 1, size=(batch, 3)), present_mask=np.ones(batch, bool))
+    return features, lengths, np.eye(7)[rng.integers(0, 7, size=batch)], dims
+
+
 class TestBatchLoss:
+    def test_a_step_links_at_most_180_nodes(self, monkeypatch):
+        """Every linked node keeps what its backward reads until backward runs, so the count
+        bounds what a train step holds: 174 with the fused linear, attention-weights and
+        GroupNorm+ReLU nodes, 275 when each was a chain of elementary ops."""
+        model = SERModel(RunConfig().model_config(0))
+        batch = default_batch(np.random.default_rng(0))
+        linked = []
+        make = Tensor._make
+
+        def counting_make(data, parents, op, backward=None):
+            out = make(data, parents, op, backward)
+            if out._backward is not None:
+                linked.append(op)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
+        compute_batch_loss(model, *batch, LossConfig())
+        assert len(linked) <= 180, sorted(linked)
+
+    def test_a_step_writes_into_no_input(self):
+        """Slices and transposes are views, so no forward or backward may write in place
+        into what it reads: parameters and features keep their bytes."""
+        model = SERModel(RunConfig().model_config(0))
+        for adapter in model.adapters.values():
+            adapter.B.data = np.random.default_rng(1).normal(0.0, 0.1, size=adapter.B.data.shape)
+        features, lengths, cats, dims = default_batch(np.random.default_rng(2), batch=6)
+        before = {name: t.data.tobytes() for name, t in model.params.items()}
+        features_before = features.tobytes()
+        loss, _, _ = compute_batch_loss(model, features, lengths, cats, dims, LossConfig())
+        loss.backward()
+        assert features.tobytes() == features_before
+        assert {name: t.data.tobytes() for name, t in model.params.items()} == before
+
     def test_extra_padding_changes_neither_loss_nor_gradients(self):
         model = tiny_model(seed=4)
         for adapter in model.adapters.values():
