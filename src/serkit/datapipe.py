@@ -257,6 +257,18 @@ class FeatureStore:
         return cached
 
 
+def stack_padded(feature_list: list) -> tuple:
+    """Zero-pad each [T, D] matrix at the end to the batch max length.
+
+    Returns (features [B, T_max, D], lengths [B]).
+    """
+    lengths = np.array([f.shape[0] for f in feature_list])
+    out = np.zeros((len(feature_list), lengths.max(), feature_list[0].shape[1]))
+    for i, features in enumerate(feature_list):
+        out[i, : features.shape[0]] = features
+    return out, lengths
+
+
 # -- windowed consensus pseudo-labeling ---------------------------------------
 
 

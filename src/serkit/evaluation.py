@@ -6,7 +6,8 @@ predictions. UAR (balanced accuracy) is the principal metric: the
 unweighted mean of per-class recalls over classes with support, optionally
 restricted to the primary four classes (Neutral, Angry, Sad, Happy).
 Ensembling averages the post-softmax probability vectors and post-sigmoid
-dimension vectors of the top checkpoints by development categorical loss.
+dimension vectors of the models it is given; `predict` runs it over a list
+of utterances for the dev pass, `evaluate_manifest` and `two_pass_relabel`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .datapipe import MERGE_CAP_S, load_record_features, merge_segments
+from .datapipe import MERGE_CAP_S, load_record_features, merge_segments, stack_padded
 from .errors import DataError
 from .labels import NUM_CLASSES, EmotionLabel
 from .losses import ccc
 from .model import ModelOutput
 
 log = logging.getLogger("serkit.evaluation")
+
+# Padded frames per `predict` group: 800-1600 beat B=1 and whole-set batches on dev and eval sets.
+PREDICT_FRAMES = 1024
 
 PRIMARY_FOUR = frozenset({EmotionLabel.NEUTRAL, EmotionLabel.ANGRY,
                           EmotionLabel.SAD, EmotionLabel.HAPPY})
@@ -95,25 +99,43 @@ def select_top_checkpoints(history: list, k: int = 4) -> list:
     return [history[i][0] for i in ranked[:k]]
 
 
-def ensemble_predict(models: list, features) -> ModelOutput:
+def ensemble_predict(models: list, features, lengths=None) -> ModelOutput:
     """Arithmetic mean of post-softmax probabilities and post-sigmoid dims.
 
-    The returned logits are log(mean probs), whose softmax reproduces the
-    averaged distribution exactly. The member forwards link no graph.
+    Takes what `SERModel.forward` takes. The returned logits are log(mean
+    probs), whose softmax reproduces the averaged distribution exactly. The
+    member forwards link no graph.
     """
     if not models:
         raise DataError("ensemble needs at least one model")
-    probs = np.zeros(NUM_CLASSES)
-    dims = np.zeros(3)
-    for model in models:
-        with no_grad():
-            out = model.forward(features)
-        probs += out.cat_probs.data
-        dims += out.dim_tensor.data
-    probs /= len(models)
-    dims /= len(models)
+    with no_grad():
+        outs = [model.forward(features, lengths) for model in models]
+    probs = sum(out.cat_probs.data for out in outs) / len(models)
+    dims = sum(out.dim_tensor.data for out in outs) / len(models)
     return ModelOutput(cat_logits=Tensor(np.log(np.maximum(probs, 1e-300))),
                        cat_probs=Tensor(probs), dim_tensor=Tensor(dims))
+
+
+def predict(models: list, feature_list: list) -> tuple:
+    """Ensemble (probs [N, 7], dims [N, 3]) of [T, D] utterances, rows in input order.
+
+    Utterances run shortest first, in padded groups of at most PREDICT_FRAMES
+    frames (rows x longest) or of one longer utterance. A row depends neither
+    on its batch-mates nor on padding, so grouping sets only speed and memory.
+    """
+    if not models:
+        raise DataError("ensemble needs at least one model")
+    groups = []
+    for i in sorted(range(len(feature_list)), key=lambda j: len(feature_list[j])):
+        if groups and (len(groups[-1]) + 1) * len(feature_list[i]) <= PREDICT_FRAMES:
+            groups[-1].append(i)    # sorted, so utterance i is the group's longest
+        else:
+            groups.append([i])
+    probs, dims = np.zeros((len(feature_list), NUM_CLASSES)), np.zeros((len(feature_list), 3))
+    for rows in groups:
+        out = ensemble_predict(models, *stack_padded([feature_list[i] for i in rows]))
+        probs[rows], dims[rows] = out.cat_probs.data, out.dim_tensor.data
+    return probs, dims
 
 
 def two_pass_relabel(models: list, records: list) -> tuple:
@@ -122,20 +144,19 @@ def two_pass_relabel(models: list, records: list) -> tuple:
     The pass-1 label is kept in `prev_label`. Records whose feature file
     cannot be read are skipped and logged. Returns (records, stats).
     """
-    relabeled = []
-    n_changed = 0
+    readable, features = [], []
     for record in records:
         try:
-            features = load_record_features(record)
+            features.append(load_record_features(record))
         except DataError as exc:
             log.warning("skipping %s: %s", record.id, exc)
-            continue
-        out = ensemble_predict(models, features)
-        label = EmotionLabel(int(np.argmax(out.cat_probs.data))).canonical_name
-        arousal, valence, dominance = out.dim_tensor.data.tolist()
-        n_changed += label != record.label
-        relabeled.append(replace(record, label=label, arousal=arousal, valence=valence,
-                                 dominance=dominance, prev_label=record.label))
+        else:
+            readable.append(record)
+    probs, dims = predict(models, features)
+    relabeled = [replace(record, label=EmotionLabel(int(k)).canonical_name, arousal=a,
+                         valence=v, dominance=d, prev_label=record.label)
+                 for record, k, (a, v, d) in zip(readable, np.argmax(probs, axis=1), dims.tolist())]
+    n_changed = sum(r.label != r.prev_label for r in relabeled)
     stats = {"n_total": len(records), "n_relabeled": len(relabeled),
              "n_changed": n_changed, "n_skipped": len(records) - len(relabeled)}
     return relabeled, stats
@@ -194,9 +215,7 @@ def evaluate_manifest(models: list, records: list, granularity: str = "fine",
     """
     if granularity not in ("fine", "merged"):
         raise DataError(f"unknown granularity {granularity!r}")
-    outs = [ensemble_predict(models, load_record_features(record)) for record in records]
-    probs = np.array([out.cat_probs.data for out in outs])
-    dims = np.array([out.dim_tensor.data for out in outs])
+    probs, dims = predict(models, [load_record_features(record) for record in records])
     refs = np.array([record.dim_array() for record in records])
     has_dims = np.array([record.has_dims for record in records])
     edges = np.concatenate(([0.0], np.cumsum([record.duration_s for record in records])))

@@ -145,9 +145,9 @@ class ModelConfig:
 
 @dataclass
 class ModelOutput:
-    cat_logits: Tensor          # [7]
-    cat_probs: Tensor           # [7], softmax of logits
-    dim_tensor: Tensor          # [3] sigmoid scores, kept on the graph
+    cat_logits: Tensor          # [7], or [B, 7] for a batch
+    cat_probs: Tensor           # softmax of logits, same shape
+    dim_tensor: Tensor          # [3] or [B, 3] sigmoid scores, kept on the graph
 
 
 # -- LoRA ------------------------------------------------------------------
@@ -503,19 +503,24 @@ class SERModel:
                                                self._pool_params("pool.hier_attn"), lengths)
         return concat([stats, summary], axis=-1)
 
-    def forward_batch(self, features, lengths) -> tuple:
-        """Padded batch [B, T, D] with valid lengths [B] -> (probs, dims, logits).
+    def forward(self, features, lengths=None) -> ModelOutput:
+        """One utterance [T, D] -> [7]/[3] fields, or a padded batch [B, T, D] with
+        valid lengths [B] -> [B, 7]/[B, 3] fields; lengths=None means every frame.
 
-        probs and logits are [B, 7], dims [B, 3]. Row b reads only its first
-        lengths[b] frames, so it equals `forward` on the unpadded utterance
-        whatever the padding or batch-mates.
+        Row b reads only its first lengths[b] frames, so it equals the forward of
+        the unpadded utterance whatever the padding or batch-mates.
         """
         if not isinstance(features, Tensor):
             features = Tensor(np.asarray(features, dtype=np.float64))
+        single = features.data.ndim == 2 and lengths is None
+        if single:
+            features = features.reshape((1,) + features.shape)
+        if lengths is None and features.data.ndim == 3:
+            lengths = np.full(features.shape[0], features.shape[1])
         lengths = np.asarray(lengths)
         if features.data.ndim != 3 or lengths.shape != features.shape[:1]:
-            raise ShapeError(f"forward_batch expects features [B, T, D] and lengths [B], got "
-                             f"{features.shape} and {lengths.shape}")
+            raise ShapeError(f"forward expects features [T, D], or [B, T, D] with lengths [B], "
+                             f"got {features.shape} and {lengths.shape}")
         t = features.shape[1]
         if (lengths.size == 0 or lengths.dtype.kind not in "iu"
                 or lengths.min() < 1 or lengths.max() > t):
@@ -523,18 +528,10 @@ class SERModel:
         pooled = self.pooled_representation(features, None if np.all(lengths == t) else lengths)
         logits = self._linear(pooled, "head.cat")
         dims = self._linear(pooled, "head.dim").sigmoid()
-        return logits.softmax(), dims, logits
-
-    def forward(self, features) -> ModelOutput:
-        """One utterance [T, D]: `forward_batch` at B=1."""
-        if not isinstance(features, Tensor):
-            features = Tensor(np.asarray(features, dtype=np.float64))
-        if features.data.ndim != 2:
-            raise ShapeError(f"features must be [T, D], got shape {features.data.shape}")
-        batch = features.reshape((1,) + features.shape)
-        probs, dim_scores, logits = self.forward_batch(batch, [features.shape[0]])
-        return ModelOutput(cat_logits=logits.reshape(NUM_CLASSES),
-                           cat_probs=probs.reshape(NUM_CLASSES), dim_tensor=dim_scores.reshape(3))
+        probs = logits.softmax()
+        if single:
+            logits, probs, dims = (out.reshape(out.shape[1:]) for out in (logits, probs, dims))
+        return ModelOutput(cat_logits=logits, cat_probs=probs, dim_tensor=dims)
 
     # -- LoRA merge --
 

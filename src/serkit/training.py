@@ -21,11 +21,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .augment import AugmentConfig, add_noise_snr, make_noise_source, mixup_batch, speed_perturb
 from .checkpoint import CheckpointMeta, save_checkpoint
-from .datapipe import FeatureStore
+from .datapipe import FeatureStore, stack_padded
 from .errors import ConfigError, DataError
+from .evaluation import predict
 from .labels import NUM_CLASSES
 from .losses import (
     DimTargets,
@@ -124,54 +125,24 @@ def _prepare_features(record, store: FeatureStore, cfg: TrainConfig,
     return features
 
 
-def _stack_padded(feature_list: list) -> tuple:
-    """Zero-pad each [T, D] matrix at the end to the batch max length.
-
-    Returns (features [B, T_max, D], lengths [B]).
-    """
-    lengths = np.array([f.shape[0] for f in feature_list])
-    out = np.zeros((len(feature_list), lengths.max(), feature_list[0].shape[1]))
-    for i, features in enumerate(feature_list):
-        out[i, : features.shape[0]] = features
-    return out, lengths
-
-
 def compute_batch_loss(model, features_batch, lengths, cat_targets, dim_targets,
                        loss_cfg: LossConfig):
     """Forward a padded [B, T, D] batch with valid lengths [B]; returns (total, ce, cccl)."""
     smoothed = smooth_labels(cat_targets, loss_cfg.epsilon_smooth)
-    probs, dims_pred, _ = model.forward_batch(features_batch, lengths)
-    ce = weighted_cross_entropy(probs, smoothed, loss_cfg.class_weights)
-    cccl = ccc_loss_multi(dim_targets, dims_pred, eps=loss_cfg.eps_ccc)
+    out = model.forward(features_batch, lengths)
+    ce = weighted_cross_entropy(out.cat_probs, smoothed, loss_cfg.class_weights)
+    cccl = ccc_loss_multi(dim_targets, out.dim_tensor, eps=loss_cfg.eps_ccc)
     return total_loss(ce, cccl, loss_cfg), ce, cccl
 
 
-def _predict_records(model, records: list, store: FeatureStore, max_frames: int,
-                     batch_size: int) -> tuple:
-    """Augmentation-free (probs [N, 7], dims [N, 3]) arrays, `batch_size` records per forward.
-
-    Padding does not change a prediction, so the split only bounds memory.
-    No backward follows, so the forwards link no graph.
-    """
-    probs, dims = [], []
-    for lo in range(0, len(records), batch_size):
-        features = [store.get(r)[:max_frames] if max_frames > 0 else store.get(r)
-                    for r in records[lo:lo + batch_size]]
-        with no_grad():
-            batch_probs, batch_dims, _ = model.forward_batch(*_stack_padded(features))
-        probs.append(batch_probs.data)
-        dims.append(batch_dims.data)
-    return np.concatenate(probs), np.concatenate(dims)
-
-
 def dev_categorical_loss(model, records: list, loss_cfg: LossConfig,
-                         store: FeatureStore, max_frames: int = 0,
-                         batch_size: int = TrainConfig.batch_size) -> float:
+                         store: FeatureStore, max_frames: int = 0) -> float:
     """Weighted smoothed CE over the dev set, augmentation-free."""
     targets = np.zeros((len(records), NUM_CLASSES))
     targets[np.arange(len(records)), [r.label_index for r in records]] = 1.0
     smoothed = smooth_labels(targets, loss_cfg.epsilon_smooth)
-    probs, _ = _predict_records(model, records, store, max_frames, batch_size)
+    features = [store.get(r)[:max_frames] if max_frames > 0 else store.get(r) for r in records]
+    probs, _ = predict([model], features)
     return float(weighted_cross_entropy(Tensor(probs), smoothed, loss_cfg.class_weights).item())
 
 
@@ -229,7 +200,7 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                     _prepare_features(r, store, train_cfg, augment_cfg, noise_source, epoch)
                     for r in batch_records
                 ]
-                features, lengths = _stack_padded(feature_list)
+                features, lengths = stack_padded(feature_list)
                 cats, dim_targets = _batch_targets(batch_records)
                 if augment_cfg is not None and augment_cfg.enable_mixup:
                     mix_rng = np.random.default_rng((train_cfg.seed, epoch, batch_index, 7))
@@ -250,8 +221,7 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                 )
 
             dev_loss = dev_categorical_loss(model, dev_records, loss_cfg, store,
-                                            max_frames=train_cfg.max_frames,
-                                            batch_size=train_cfg.batch_size)
+                                            max_frames=train_cfg.max_frames)
             path = os.path.join(checkpoint_dir, f"epoch_{epoch:03d}.serc")
             save_checkpoint(path, model.state_arrays(),
                             CheckpointMeta(epoch=epoch, global_step=state.global_step,

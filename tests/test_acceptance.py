@@ -29,6 +29,7 @@ from serkit.datapipe import (
 from serkit.evaluation import (
     ccc_metric,
     ensemble_predict,
+    predict,
     select_top_checkpoints,
     uar,
     weighted_accuracy,
@@ -37,7 +38,7 @@ from serkit.labels import EMOTIONS, EmotionLabel
 from serkit.losses import DimTargets, LossConfig, ccc, smooth_labels, weighted_cross_entropy
 from serkit.model import LoraConfig, ModelConfig, SERModel
 from serkit.optim import AdamWGroups, OptimizerConfig, ScheduleConfig, cosine_warmup_lr
-from serkit.training import TrainConfig, _predict_records, train_loop
+from serkit.training import TrainConfig, train_loop
 from serkit.autodiff import Tensor
 
 
@@ -53,7 +54,8 @@ def criterion(name: str):
 
 def batch_predictions(model, records: list) -> tuple:
     """Per-record (predicted class, dim scores) without augmentation."""
-    probs, dims = _predict_records(model, records, FeatureStore(), 0, TrainConfig.batch_size)
+    store = FeatureStore()
+    probs, dims = predict([model], [store.get(record) for record in records])
     return np.argmax(probs, axis=1), dims
 
 
@@ -124,7 +126,8 @@ def test_lora_contract():
         batch = rng.normal(size=(2, 6, 16))
         for _ in range(100):
             adapted.zero_grad()
-            probs, dims, _ = adapted.forward_batch(batch, [6, 6])
+            out = adapted.forward(batch, [6, 6])
+            probs, dims = out.cat_probs, out.dim_tensor
             ((probs * probs).sum() + (dims * dims).sum()).backward()
             opt.step()
         for name, before in frozen.items():

@@ -15,11 +15,13 @@ from serkit.datapipe import (
 )
 from serkit.errors import DataError
 from serkit.evaluation import (
+    PREDICT_FRAMES,
     PRIMARY_FOUR,
     ccc_metric,
     ensemble_predict,
     evaluate_manifest,
     per_class_recall,
+    predict,
     select_top_checkpoints,
     uar,
     weighted_accuracy,
@@ -248,6 +250,37 @@ class TestEnsemble:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(DataError):
             ensemble_predict([], np.zeros((3, 8)))
+
+
+class TestPredict:
+    def test_groups_match_per_utterance_forwards_in_input_order(self, monkeypatch):
+        """Several groups, one utterance alone past the frame budget, rows in input order."""
+        rng = np.random.default_rng(16)
+        lengths = [40, 3, PREDICT_FRAMES + 5, 17, 3, 90, 1, 60, 25, 250, 8]
+        features = [rng.normal(size=(n, 8)) for n in lengths]
+        models = [small_model(seed=s) for s in (8, 9)]
+        groups = []
+        ensemble = evaluation.ensemble_predict
+        monkeypatch.setattr(evaluation, "ensemble_predict",
+                            lambda ms, x, n: groups.append(list(n)) or ensemble(ms, x, n))
+        probs, dims = predict(models, features)
+        # shortest first, while rows x longest <= 1024: 9 x 90 fits, 10 x 250 and 2 x 1029 do not
+        assert groups == [[1, 3, 3, 8, 17, 25, 40, 60, 90], [250], [PREDICT_FRAMES + 5]]
+        assert probs.shape == (len(lengths), 7) and dims.shape == (len(lengths), 3)
+        for i, x in enumerate(features):
+            outs = [m.forward(x) for m in models]
+            np.testing.assert_allclose(probs[i], np.mean([o.cat_probs.data for o in outs], 0),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dims[i], np.mean([o.dim_tensor.data for o in outs], 0),
+                                       rtol=0, atol=1e-12)
+
+    def test_empty_list_gives_empty_arrays(self):
+        probs, dims = predict([small_model(seed=1)], [])
+        assert probs.shape == (0, 7) and dims.shape == (0, 3)
+
+    def test_no_models_rejected(self):
+        with pytest.raises(DataError):
+            predict([], [np.zeros((3, 8))])
 
 
 class TestEvaluateManifest:

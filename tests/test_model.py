@@ -362,7 +362,8 @@ class TestModelForward:
         for trial in range(20):
             trial_rng = np.random.default_rng(100 + trial)
             model.zero_grad()
-            probs, dims, _ = model.forward_batch(trial_rng.normal(size=(2, 7, 8)), [7, 7])
+            out = model.forward(trial_rng.normal(size=(2, 7, 8)), [7, 7])
+            probs, dims = out.cat_probs, out.dim_tensor
             ((probs * probs).sum() + (dims * dims).sum()).backward()
             for name, tensor in model.trainable_parameters().items():
                 if tensor.grad is not None and np.any(tensor.grad != 0.0):
@@ -423,18 +424,21 @@ class TestPaddingInvariance:
         batch = np.zeros((len(lengths), max(lengths) + extra, 8))
         for i, x in enumerate(utterances):
             batch[i, :len(x)] = x
-        probs, dims, _ = PADDING_MODEL.forward_batch(batch, lengths)
+        out = PADDING_MODEL.forward(batch, lengths)
+        probs, dims = out.cat_probs.data, out.dim_tensor.data
         for i, x in enumerate(utterances):
             single = PADDING_MODEL.forward(x)
-            np.testing.assert_allclose(probs.data[i], single.cat_probs.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dims.data[i], single.dim_tensor.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(probs[i], single.cat_probs.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dims[i], single.dim_tensor.data, rtol=0, atol=1e-12)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ShapeError):
-            PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [5, 6])
+            PADDING_MODEL.forward(np.zeros((2, 5, 8)), [5, 6])
         with pytest.raises(ShapeError):
-            PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [0, 5])
+            PADDING_MODEL.forward(np.zeros((2, 5, 8)), [0, 5])
         with pytest.raises(ShapeError):
-            PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [5])
+            PADDING_MODEL.forward(np.zeros((2, 5, 8)), [5])
         with pytest.raises(ShapeError, match="integers"):     # frame counts, not fractions
-            PADDING_MODEL.forward_batch(np.zeros((2, 5, 8)), [5.0, 4.5])
+            PADDING_MODEL.forward(np.zeros((2, 5, 8)), [5.0, 4.5])
+        with pytest.raises(ShapeError, match="lengths"):      # one utterance has no lengths
+            PADDING_MODEL.forward(np.zeros((5, 8)), [5])

@@ -10,7 +10,7 @@ from serkit.augment import AugmentConfig, reset_augment_counters, total_augment_
 from serkit.autodiff import Tensor
 from serkit.checkpoint import load_into_model
 from serkit.config import RunConfig
-from serkit.datapipe import FeatureStore, read_manifest, synth_dataset
+from serkit.datapipe import FeatureStore, read_manifest, stack_padded, synth_dataset
 from serkit.errors import DataError
 from serkit.losses import DimTargets, LossConfig
 from serkit.model import SERModel
@@ -18,7 +18,6 @@ from serkit.optim import OptimizerConfig
 from serkit.training import (
     TrainConfig,
     TrainState,
-    _stack_padded,
     check_disjoint_splits,
     compute_batch_loss,
     dev_categorical_loss,
@@ -239,7 +238,7 @@ class TestBatchLoss:
         for adapter in model.adapters.values():
             adapter.B.data = np.random.default_rng(5).normal(0.0, 0.1, size=adapter.B.data.shape)
         rng = np.random.default_rng(6)
-        features, lengths = _stack_padded([rng.normal(size=(n, 8)) for n in (3, 9, 6, 1)])
+        features, lengths = stack_padded([rng.normal(size=(n, 8)) for n in (3, 9, 6, 1)])
         np.testing.assert_array_equal(lengths, [3, 9, 6, 1])
         cats = np.eye(7)[[0, 3, 5, 1]]
         dims = DimTargets(values=rng.uniform(0, 1, size=(4, 3)), present_mask=np.ones(4, bool))
