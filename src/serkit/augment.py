@@ -50,6 +50,8 @@ class AugmentConfig:
             raise ConfigError(f"mixup_prob must be in [0, 1], got {self.mixup_prob}")
         if not 0 < self.mixup_alpha < math.inf:
             raise ConfigError(f"mixup_alpha must be finite and > 0, got {self.mixup_alpha}")
+        if len(self.noise_snr_db) != 2:
+            raise ConfigError(f"SNR range must be two values (min, max), got {self.noise_snr_db}")
         lo, hi = self.noise_snr_db
         if not -math.inf < lo <= hi < math.inf:
             raise ConfigError(f"SNR range [{lo}, {hi}] must be finite and non-empty")

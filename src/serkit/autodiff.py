@@ -329,14 +329,10 @@ class Tensor:
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis, keepdims) / n
 
-    def softmax(self, lengths=None):
-        """Softmax over the last axis; rows sum to 1 within 1e-12.
-
-        With `lengths` ([B] for a [B, n] input) the entries of row b past
-        lengths[b] get probability exactly 0 and no gradient.
-        """
+    def softmax(self):
+        """Softmax over the last axis; rows sum to 1 within 1e-12."""
         a = self
-        out_data = _softmax(a.data, lengths)
+        out_data = _softmax(a.data, None)
 
         def backward(g):
             a._accumulate(out_data * (g - np.sum(g * out_data, axis=-1, keepdims=True)))
@@ -474,7 +470,7 @@ def attention_weights(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, lengths=None
     return Tensor._make(p, (seq, w, b, v), "attention_weights", backward)
 
 
-def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int = 1,
+def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
                    lengths=None) -> Tensor:
     """Dilated 1D convolution over [..., C_in, T] preserving T; the output is C-contiguous.
 
@@ -522,14 +518,11 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
     n = xp.shape[0]
     w = np.ascontiguousarray(weight.data.transpose(2, 0, 1))   # [K, C_out, C_in] taps
     out_data = tap_sum(w, xp)
-    parents = [x, weight]
-    if bias is not None:
-        out_data += bias.data[:, None]
-        parents.append(bias)
+    out_data += bias.data[:, None]
 
     def backward(g):
         g = g.reshape(n, c_out, t)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(np.einsum("not->o", g))
         if weight.requires_grad:
             # In chunks of utterances: a whole-batch [N, C_out, C_in] product outgrows x at small
@@ -548,7 +541,7 @@ def conv1d_dilated(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int
                 dx *= keep
             x._accumulate(dx.reshape(x.data.shape))
 
-    return Tensor._make(out_data.reshape(x.data.shape[:-2] + (c_out, t)), parents,
+    return Tensor._make(out_data.reshape(x.data.shape[:-2] + (c_out, t)), (x, weight, bias),
                         f"conv1d(d={dilation})", backward)
 
 

@@ -165,6 +165,11 @@ def _gradcheck_group(name: str) -> str:
 def cmd_gradcheck(args) -> int:
     from .autodiff import finite_difference_sample, no_grad, relative_error
 
+    for flag in ("samples", "frames", "batch"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if not 0 <= args.tolerance < np.inf:  # 0 fails every group: a check of the FAIL path
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     cfg = RunConfig.load(args.config, args.set)
     loss_cfg = cfg.loss_config()
     model = SERModel(cfg.model_config(args.seed))

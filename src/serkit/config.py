@@ -3,8 +3,9 @@
 Every training-recipe constant (loss coefficients, label smoothing, warmup
 ratio, MixUp settings, speed factors, batch size, epoch cap, per-group
 learning rates and decays) is the default of the dataclass field it sets.
-`KEYS` maps each config key to that field, and `DEFAULTS` is read from the
-fields. Config files are `key = value` lines with `#` comments; CLI --set
+`KEYS` maps every config key but `eval.merge_cap_s` (the datapipe's
+`MERGE_CAP_S`) to that field, and `DEFAULTS` is read from the fields.
+Config files are `key = value` lines with `#` comments; CLI --set
 overrides win over the file. Unknown keys are rejected, and the effective
 config echoes into the run directory so a run can be reproduced from its
 own artifacts.
@@ -60,6 +61,7 @@ KEYS = {
     "augment.mixup_prob": (AugmentConfig, "mixup_prob"),
     "augment.mixup_alpha": (AugmentConfig, "mixup_alpha"),
     "augment.speed_factors": (AugmentConfig, "speed_factors"),
+    "augment.noise_snr_db": (AugmentConfig, "noise_snr_db"),
     "augment.enable_mixup": (AugmentConfig, "enable_mixup"),
     "augment.enable_noise": (AugmentConfig, "enable_noise"),
     "augment.enable_speed": (AugmentConfig, "enable_speed"),
@@ -74,13 +76,7 @@ def _default_text(value):
 
 # A dataclass field with a plain default keeps that default as a class attribute.
 DEFAULTS = {key: _default_text(getattr(cls, name)) for key, (cls, name) in KEYS.items()}
-DEFAULTS.update({
-    "augment.enabled": True,
-    "augment.noise_snr_db_min": AugmentConfig.noise_snr_db[0],
-    "augment.noise_snr_db_max": AugmentConfig.noise_snr_db[1],
-    "eval.top_k": 4,
-    "eval.merge_cap_s": MERGE_CAP_S,
-})
+DEFAULTS["eval.merge_cap_s"] = MERGE_CAP_S
 
 
 def _coerce(key: str, raw: str):
@@ -200,8 +196,5 @@ class RunConfig:
     def train_config(self, seed: int) -> TrainConfig:
         return self._build(TrainConfig, seed=seed)
 
-    def augment_config(self) -> AugmentConfig | None:
-        if not self["augment.enabled"]:
-            return None
-        return self._build(AugmentConfig, noise_snr_db=(self["augment.noise_snr_db_min"],
-                                                        self["augment.noise_snr_db_max"]))
+    def augment_config(self) -> AugmentConfig:
+        return self._build(AugmentConfig)

@@ -2,8 +2,9 @@
 
 Manifests are newline-delimited JSON, one utterance per line. Feature files
 are a small binary format: magic "SERF", u32 version=1, u32 frames, u32 dim,
-then float32 little-endian row-major frames. Relative feature paths resolve
-against the manifest's directory so generated datasets stay relocatable.
+then finite float32 little-endian row-major frames. Relative feature paths
+resolve against the manifest's directory so generated datasets stay
+relocatable.
 
 The pseudo-labeling pipeline follows the two-predictor consensus scheme:
 labels are estimated on 4 s windows hopped every 2 s; a window becomes
@@ -230,7 +231,11 @@ def read_features(path: str) -> np.ndarray:
             raise DataError(f"{kind} feature file {path}: header claims {frames} x {dim} "
                             f"float32 values, payload is {stored} bytes")
         payload = handle.read(size)
-    return np.frombuffer(payload, dtype="<f4").reshape(frames, dim).astype(np.float64)
+    features = np.frombuffer(payload, dtype="<f4").reshape(frames, dim)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite feature value in {path} at frame {int(np.argmin(finite))}")
+    return features.astype(np.float64)
 
 
 def load_record_features(record: ManifestRecord) -> np.ndarray:

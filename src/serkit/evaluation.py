@@ -102,9 +102,7 @@ def select_top_checkpoints(history: list, k: int = 4) -> list:
 def ensemble_predict(models: list, features, lengths=None) -> ModelOutput:
     """Arithmetic mean of post-softmax probabilities and post-sigmoid dims.
 
-    Takes what `SERModel.forward` takes. The returned logits are log(mean
-    probs), whose softmax reproduces the averaged distribution exactly. The
-    member forwards link no graph.
+    Takes what `SERModel.forward` takes. The member forwards link no graph.
     """
     if not models:
         raise DataError("ensemble needs at least one model")
@@ -112,8 +110,7 @@ def ensemble_predict(models: list, features, lengths=None) -> ModelOutput:
         outs = [model.forward(features, lengths) for model in models]
     probs = sum(out.cat_probs.data for out in outs) / len(models)
     dims = sum(out.dim_tensor.data for out in outs) / len(models)
-    return ModelOutput(cat_logits=Tensor(np.log(np.maximum(probs, 1e-300))),
-                       cat_probs=Tensor(probs), dim_tensor=Tensor(dims))
+    return ModelOutput(cat_probs=Tensor(probs), dim_tensor=Tensor(dims))
 
 
 def predict(models: list, feature_list: list) -> tuple:

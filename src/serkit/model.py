@@ -145,8 +145,7 @@ class ModelConfig:
 
 @dataclass
 class ModelOutput:
-    cat_logits: Tensor          # [7], or [B, 7] for a batch
-    cat_probs: Tensor           # softmax of logits, same shape
+    cat_probs: Tensor           # [7], or [B, 7] for a batch: softmax of the class head
     dim_tensor: Tensor          # [3] or [B, 3] sigmoid scores, kept on the graph
 
 
@@ -530,8 +529,8 @@ class SERModel:
         dims = self._linear(pooled, "head.dim").sigmoid()
         probs = logits.softmax()
         if single:
-            logits, probs, dims = (out.reshape(out.shape[1:]) for out in (logits, probs, dims))
-        return ModelOutput(cat_logits=logits, cat_probs=probs, dim_tensor=dims)
+            probs, dims = probs.reshape(probs.shape[1:]), dims.reshape(dims.shape[1:])
+        return ModelOutput(cat_probs=probs, dim_tensor=dims)
 
     # -- LoRA merge --
 

@@ -80,10 +80,7 @@ class TrainState:
             self.epochs_since_improvement += 1
         return self.epochs_since_improvement >= patience
 
-    def summary(self, relative_to: str | None = None) -> dict:
-        def rel(path: str) -> str:
-            return os.path.relpath(path, relative_to) if relative_to else path
-
+    def summary(self, relative_to: str) -> dict:
         return {
             "epoch": self.epoch,
             "global_step": self.global_step,
@@ -91,7 +88,8 @@ class TrainState:
             "epochs_since_improvement": self.epochs_since_improvement,
             "seed": self.seed,
             "history": [
-                {"checkpoint": rel(path), "epoch": epoch, "dev_cat_loss": loss}
+                {"checkpoint": os.path.relpath(path, relative_to), "epoch": epoch,
+                 "dev_cat_loss": loss}
                 for path, epoch, loss in self.history
             ],
         }
@@ -109,12 +107,10 @@ def _sample_rng(seed: int, epoch: int, utterance_id: str) -> np.random.Generator
 
 
 def _prepare_features(record, store: FeatureStore, cfg: TrainConfig,
-                      augment: AugmentConfig | None, noise_source, epoch: int) -> np.ndarray:
+                      augment: AugmentConfig, noise_source, epoch: int) -> np.ndarray:
     features = store.get(record)
     if cfg.max_frames > 0:
         features = features[: cfg.max_frames]
-    if augment is None:
-        return features
     rng = _sample_rng(cfg.seed, epoch, record.id)
     if augment.enable_speed:
         factor = float(rng.choice(list(augment.speed_factors) + [1.0]))
@@ -160,7 +156,7 @@ def _batch_targets(records: list) -> tuple:
 
 def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                loss_cfg: LossConfig, opt_cfg: OptimizerConfig, train_cfg: TrainConfig,
-               augment_cfg: AugmentConfig | None = None,
+               augment_cfg: AugmentConfig,
                config_hash: bytes = b"\x00" * 32) -> TrainState:
     """Full training run; returns the final TrainState (checkpoints on disk)."""
     if not train_records or not dev_records:
@@ -177,7 +173,7 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                               warmup_ratio=train_cfg.warmup_ratio,
                               min_lr_factor=train_cfg.min_lr_factor)
     optimizer = AdamWGroups(model.backbone_parameters(), model.downstream_parameters(), opt_cfg)
-    noise_source = make_noise_source(augment_cfg) if augment_cfg else None
+    noise_source = make_noise_source(augment_cfg) if augment_cfg.enable_noise else None
     store = FeatureStore()
     state = TrainState(seed=train_cfg.seed)
 
@@ -202,7 +198,7 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                 ]
                 features, lengths = stack_padded(feature_list)
                 cats, dim_targets = _batch_targets(batch_records)
-                if augment_cfg is not None and augment_cfg.enable_mixup:
+                if augment_cfg.enable_mixup:
                     mix_rng = np.random.default_rng((train_cfg.seed, epoch, batch_index, 7))
                     features, lengths, cats, dim_targets = mixup_batch(
                         features, lengths, cats, dim_targets, augment_cfg, mix_rng)

@@ -14,7 +14,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from serkit.augment import add_noise_snr, mixup_apply, speed_perturb, white_noise_source
+from serkit.augment import (
+    AugmentConfig,
+    add_noise_snr,
+    mixup_apply,
+    speed_perturb,
+    white_noise_source,
+)
 from serkit.checkpoint import CheckpointMeta, load_checkpoint, save_checkpoint
 from serkit.cli import main
 from serkit.datapipe import (
@@ -154,7 +160,7 @@ def test_overfit_capability(tmp_path):
             opt_cfg=OptimizerConfig(backbone_lr=2e-3, downstream_lr=2e-2),
             train_cfg=TrainConfig(epochs=200, batch_size=32, patience=999, seed=0,
                                   min_lr_factor=0.1),
-            augment_cfg=None,
+            augment_cfg=AugmentConfig(enable_mixup=False, enable_noise=False, enable_speed=False),
         )
         assert state.global_step <= 200
 

@@ -215,4 +215,6 @@ class TestMixup:
         with pytest.raises(ConfigError):
             AugmentConfig(noise_snr_db=(10.0, 5.0))
         with pytest.raises(ConfigError):
+            AugmentConfig(noise_snr_db=(1.0, 4.0, 4.0))
+        with pytest.raises(ConfigError):
             AugmentConfig(speed_factors=(0.9, -1.0))

@@ -282,7 +282,9 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(9500 + trial)
         x = Tensor(rng.uniform(-1.0, 1.0, size=(2, 6)))
         w0 = rng.uniform(-1.0, 1.0, size=(2, 2, 3))
-        fd_check(lambda w: conv1d_dilated(x, w, None, dilation=1), w0)
+        b0 = rng.uniform(-1.0, 1.0, size=(2,))
+        fd_check(lambda w: conv1d_dilated(x, w, Tensor(b0), dilation=1), w0)
+        fd_check(lambda b: conv1d_dilated(x, Tensor(w0), b, dilation=1), b0)
 
     @pytest.mark.parametrize("trial", range(TRIALS))
     def test_group_norm_grad(self, trial):
@@ -1060,14 +1062,16 @@ class TestBatchedPrimitives:
 
     @pytest.mark.parametrize("trial", range(10))
     def test_masked_softmax_grads(self, trial):
+        """The masked softmax behind attention_weights: rows past lengths[b] weigh exactly 0."""
         rng = np.random.default_rng(17000 + trial)
-        x0 = rng.uniform(-1.0, 1.0, size=(3, 5))
+        x0 = rng.uniform(-1.0, 1.0, size=(3, 5, 2))
+        w, b, v = (Tensor(rng.uniform(-1.0, 1.0, size=shape)) for shape in ((4, 2), (4,), (4,)))
         lengths = [5, 1, 3]
-        out = Tensor(x0).softmax(lengths).data
+        out = attention_weights(Tensor(x0), w, b, v, lengths).data
         for row, n in zip(out, lengths):
             assert np.all(row[n:] == 0.0) and np.all(row[:n] > 0.0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-        fd_check(lambda x: x.softmax(lengths), x0)
+        fd_check(lambda x: attention_weights(x, w, b, v, lengths), x0)
 
     def test_backward_frees_interior_gradients(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -334,6 +334,15 @@ class TestGradcheckCommand:
         assert "error: numeric:" in captured.err
         assert "worst parameter" in captured.err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "-1"), ("--samples", "0"), ("--frames", "0"), ("--batch", "0"),
+        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1e-4"),
+    ])
+    def test_bad_argument_exit_1(self, capsys, flag, value):
+        assert main(["gradcheck", f"{flag}={value}"]) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith(f"error: config: {flag} "), err_lines
+
 
 class TestReportCommand:
     def _make_report(self, tmp_path, name, uar7, uar4):
@@ -416,6 +425,24 @@ class TestMalformedInputs:
         assert self._train(tmp_path, datasets, tiny_config) == 2
         assert "header claims 4294967295 x" in self._one_error_line(capsys, "data")
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_feature_value_exit_2(self, tmp_path, datasets, tiny_config, capsys,
+                                             command):
+        out = run_train(tmp_path, datasets, tiny_config, "trained") if command == "eval" else None
+        record = read_manifest(datasets[command])[1]
+        with open(record.resolved_features_path(), "r+b") as handle:
+            handle.seek(16 + 4 * 8 * 3)         # frame 3 of an 8-dim file
+            handle.write(np.float32(np.nan).tobytes())
+        if command == "train":
+            assert self._train(tmp_path, datasets, tiny_config) == 2
+        else:
+            checkpoint = os.path.join(out, "checkpoints", "epoch_001.serc")
+            assert main(["eval", "--config", tiny_config, "--checkpoint", checkpoint,
+                         "--manifest", datasets["eval"],
+                         "--report", str(tmp_path / "r.csv")]) == 2
+        error = self._one_error_line(capsys, "data")
+        assert f"non-finite feature value in {record.resolved_features_path()} at frame 3" in error
+
     def test_config_not_utf8_exit_1(self, tmp_path, datasets, tiny_config, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(open(tiny_config, "rb").read() + b"train.epochs = \xe9\n")
@@ -443,7 +470,8 @@ class TestMalformedInputs:
         "model.encoder_dim=0", "model.encoder_ff=0", "model.feature_dim=0",
         "model.ecapa_channels=0", "model.ecapa_se_bottleneck=0", "model.pool_attention_hidden=0",
         "model.ecapa_stats_attention_hidden=0", "model.ecapa_kernel=-1",
-        "model.ecapa_dilations=0", "augment.speed_factors=nan", "augment.noise_snr_db_min=nan",
+        "model.ecapa_dilations=0", "augment.speed_factors=nan", "augment.noise_snr_db=nan,20",
+        "augment.noise_snr_db=5", "augment.noise_snr_db=20,5",
         "augment.mixup_alpha=nan", "optim.backbone_lr=nan", "loss.lambda_dim=nan",
         "model.lora_alpha=nan", "optim.eps=nan", "optim.eps=0", "optim.eps=-1e-8",
         "optim.backbone_weight_decay=nan", "optim.backbone_weight_decay=-1e-5",

@@ -1,6 +1,7 @@
 """RunConfig tests: defaults carry the recipe constants, parsing, echo, hash."""
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -24,7 +25,7 @@ def field_default(cls, name):
 
 # Doubling or halving these defaults would be rejected or leave them unchanged.
 NON_DEFAULT_SPECIAL = {"model.ecapa_kernel": "5", "train.max_frames": "8",
-                       "schedule.min_lr_factor": "0.1"}
+                       "schedule.min_lr_factor": "0.1", "augment.noise_snr_db": "5.0,10.0"}
 
 
 def non_default_text(key):
@@ -86,12 +87,16 @@ class TestKeyTable:
         assert len(set(KEYS.values())) == len(KEYS)  # no two keys share a field
         for key, (cls, name) in KEYS.items():
             assert DEFAULTS[key] == as_config_text(field_default(cls, name)), key
-        assert (DEFAULTS["augment.noise_snr_db_min"],
-                DEFAULTS["augment.noise_snr_db_max"]) == AugmentConfig().noise_snr_db
         assert DEFAULTS["eval.merge_cap_s"] == MERGE_CAP_S
-        assert set(DEFAULTS) - set(KEYS) == {
-            "augment.enabled", "augment.noise_snr_db_min", "augment.noise_snr_db_max",
-            "eval.top_k", "eval.merge_cap_s"}
+        assert set(DEFAULTS) - set(KEYS) == {"eval.merge_cap_s"}
+
+    def test_keys_outside_the_table_are_read(self):
+        """A key that maps onto no field must be read by name outside config.py."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src" / "serkit"
+        text = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py"))
+                       if path.name != "config.py")
+        unread = sorted(key for key in set(DEFAULTS) - set(KEYS) if f'"{key}"' not in text)
+        assert not unread, f"config keys nothing reads: {unread}"
 
     def test_every_key_reaches_its_field(self):
         for key, (cls, name) in KEYS.items():
@@ -118,17 +123,19 @@ class TestParsing:
 
     def test_type_coercion(self):
         cfg = RunConfig.load(None, overrides=[
-            "augment.enabled=false", "train.epochs=3", "loss.lambda_dim=0.25"])
-        assert cfg["augment.enabled"] is False
+            "augment.enable_noise=false", "train.epochs=3", "loss.lambda_dim=0.25",
+            "augment.noise_snr_db=1,2.5"])
+        assert cfg["augment.enable_noise"] is False
         assert cfg["train.epochs"] == 3
         assert cfg["loss.lambda_dim"] == 0.25
-        assert cfg.augment_config() is None
+        assert cfg.augment_config().enable_noise is False
+        assert cfg.augment_config().noise_snr_db == (1.0, 2.5)
 
     def test_bad_value_types_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.load(None, overrides=["train.epochs=three"])
         with pytest.raises(ConfigError):
-            RunConfig.load(None, overrides=["augment.enabled=perhaps"])
+            RunConfig.load(None, overrides=["augment.enable_mixup=perhaps"])
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -240,13 +240,6 @@ class TestEnsemble:
         assert np.argmax(a.cat_probs.data) == np.argmax(b.cat_probs.data)
         np.testing.assert_allclose(a.cat_probs.data, b.cat_probs.data, atol=1e-15)
 
-    def test_logits_reproduce_averaged_probs(self):
-        rng = np.random.default_rng(14)
-        ens = ensemble_predict([small_model(seed=1), small_model(seed=2)],
-                               rng.normal(size=(5, 8)))
-        np.testing.assert_allclose(ens.cat_logits.softmax().data, ens.cat_probs.data,
-                                   atol=1e-12)
-
     def test_empty_ensemble_rejected(self):
         with pytest.raises(DataError):
             ensemble_predict([], np.zeros((3, 8)))

@@ -1,5 +1,6 @@
 """Training loop tests: early stopping, determinism, checkpoint metadata, hygiene."""
 
+import dataclasses
 import math
 import os
 
@@ -25,6 +26,9 @@ from serkit.training import (
 )
 
 
+NO_AUGMENT = AugmentConfig(enable_mixup=False, enable_noise=False, enable_speed=False)
+
+
 def make_data(tmp_path, n_train=2, n_dev=1, frames=8, dim=8):
     train_m = synth_dataset(str(tmp_path / "train"), n_per_class=n_train, frames=frames,
                             dim=dim, seed=1, split="train")
@@ -43,7 +47,7 @@ def tiny_model(seed=0):
 def run_tiny(tmp_path, out_name, seed=0, epochs=2, augment=True):
     train, dev = make_data(tmp_path)
     model = tiny_model(seed=seed)
-    cfg = AugmentConfig(mixup_prob=0.5) if augment else None
+    cfg = AugmentConfig(mixup_prob=0.5) if augment else NO_AUGMENT
     state = train_loop(
         model, train, dev, str(tmp_path / out_name),
         loss_cfg=LossConfig(),
@@ -108,7 +112,8 @@ class TestTrainLoop:
         loss_cfg = LossConfig()
         weights = loss_cfg.class_weights
         train_loop(tiny_model(), train[3:], dev, str(tmp_path / "run"), loss_cfg=loss_cfg,
-                   opt_cfg=OptimizerConfig(), train_cfg=TrainConfig(epochs=1, batch_size=8))
+                   opt_cfg=OptimizerConfig(), train_cfg=TrainConfig(epochs=1, batch_size=8),
+                   augment_cfg=NO_AUGMENT)
         # the run fits its own (unequal) class weights to the unbalanced train split
         assert loss_cfg.class_weights is weights
         np.testing.assert_array_equal(weights, np.ones(7))
@@ -155,7 +160,13 @@ class TestTrainLoop:
         train, dev = make_data(tmp_path)
         with pytest.raises(DataError):
             train_loop(tiny_model(), [], dev, str(tmp_path / "x"), LossConfig(),
-                       OptimizerConfig(), TrainConfig())
+                       OptimizerConfig(), TrainConfig(), NO_AUGMENT)
+
+    def test_noise_dir_unread_with_noise_off(self, tmp_path):
+        train, dev = make_data(tmp_path)
+        augment = dataclasses.replace(NO_AUGMENT, noise_dir=str(tmp_path / "absent"))
+        train_loop(tiny_model(), train, dev, str(tmp_path / "run"), LossConfig(),
+                   OptimizerConfig(), TrainConfig(epochs=1, batch_size=8), augment)
 
     def test_loss_decreases_on_separable_data(self, tmp_path):
         train, dev = make_data(tmp_path, n_train=3)
@@ -165,7 +176,7 @@ class TestTrainLoop:
             loss_cfg=LossConfig(),
             opt_cfg=OptimizerConfig(backbone_lr=1e-3, downstream_lr=1e-2),
             train_cfg=TrainConfig(epochs=6, batch_size=7, patience=99, seed=0),
-            augment_cfg=None,
+            augment_cfg=NO_AUGMENT,
         )
         losses = [loss for _, _, loss in state.history]
         assert losses[-1] < losses[0]
