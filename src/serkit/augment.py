@@ -55,8 +55,9 @@ class AugmentConfig:
         lo, hi = self.noise_snr_db
         if not -math.inf < lo <= hi < math.inf:
             raise ConfigError(f"SNR range [{lo}, {hi}] must be finite and non-empty")
-        if not all(0 < f < math.inf for f in self.speed_factors):
-            raise ConfigError(f"speed factors must be finite and > 0, got {self.speed_factors}")
+        if not self.speed_factors or not all(0 < f < math.inf for f in self.speed_factors):
+            raise ConfigError(f"speed factors must be one or more finite values > 0, "
+                              f"got {self.speed_factors}")
 
 
 # -- noise sources -----------------------------------------------------------

@@ -7,7 +7,7 @@ requires grad and grad is enabled. Inside ``no_grad()`` nothing links, so
 each intermediate array is freed as soon as its last reference drops; the
 values computed are the same. Calling ``backward()`` on a scalar output
 walks the graph once in reverse topological order and accumulates gradients
-into every tensor that has ``requires_grad`` set.
+into every tensor that has ``requires_grad`` set, releasing the graph as it goes.
 
 All buffers are float64 and row-major. Every op validates that its output
 is finite; a NaN/Inf raises :class:`NumericError` naming the node, so a
@@ -26,7 +26,7 @@ import threading
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, SerkitError, ShapeError
 
 _node_ids = itertools.count()
 
@@ -46,6 +46,11 @@ def _softmax(scores: np.ndarray, lengths) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # a row of length 0 turns NaN; _make rejects it
         e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _released(g):
+    """`_backward` of a node whose backward has run: its closure and parents are dropped."""
+    raise SerkitError("backward() through a graph an earlier backward() released")
 
 
 class _GradMode(threading.local):
@@ -136,7 +141,9 @@ class Tensor:
             np.copyto(self.grad, grad)
 
     def backward(self, grad: np.ndarray | None = None):
-        """Reverse-mode sweep seeded with `grad` (a copy is taken), or with 1 for a scalar."""
+        """Reverse-mode sweep seeded with `grad` (a copy is taken), or with 1 for a scalar. A node
+        whose backward has run drops its closure and parents, so what it saved is freed once no
+        later node reads it; a second backward() through the released graph raises."""
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError(
@@ -160,16 +167,22 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released:
+                raise SerkitError(f"backward() through op '{node._op}' whose graph an earlier "
+                                  "backward() released")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                node.grad = None  # interior gradient fully propagated; leaves keep theirs
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:  # a leaf keeps its gradient
+                if node.grad is not None:
+                    node._backward(node.grad)
+                    node.grad = None
+                node._backward, node._parents = _released, ()
 
     # -- primitive ops ---------------------------------------------------------
 

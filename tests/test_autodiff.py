@@ -22,7 +22,7 @@ from serkit.autodiff import (
     no_grad,
     relative_error,
 )
-from serkit.errors import ConfigError, NumericError, ShapeError
+from serkit.errors import ConfigError, NumericError, SerkitError, ShapeError
 
 H = 1e-5
 PRIMITIVE_TOL = 1e-5
@@ -1159,7 +1159,10 @@ class TestNoGrad:
         out = x @ hidden
         (out * out).sum().backward()
         assert not _linked(hidden)
-        assert out._parents == (x, hidden) and out._backward is not None
+        assert out._parents == ()                # backward() released the graph it walked
         h = np.power(w0 * 2.0, 2.0)
         np.testing.assert_array_equal(x.grad, (2.0 * (x0 @ h)) @ h.T)
         assert frozen.grad is None
+        with pytest.raises(SerkitError, match="op 'matmul' whose graph an earlier backward"):
+            out.sum().backward()
+        np.testing.assert_array_equal(x.grad, (2.0 * (x0 @ h)) @ h.T)

@@ -470,8 +470,8 @@ class TestMalformedInputs:
         "model.encoder_dim=0", "model.encoder_ff=0", "model.feature_dim=0",
         "model.ecapa_channels=0", "model.ecapa_se_bottleneck=0", "model.pool_attention_hidden=0",
         "model.ecapa_stats_attention_hidden=0", "model.ecapa_kernel=-1",
-        "model.ecapa_dilations=0", "augment.speed_factors=nan", "augment.noise_snr_db=nan,20",
-        "augment.noise_snr_db=5", "augment.noise_snr_db=20,5",
+        "model.ecapa_dilations=0", "augment.speed_factors=nan", "augment.speed_factors=",
+        "augment.noise_snr_db=nan,20", "augment.noise_snr_db=5", "augment.noise_snr_db=20,5",
         "augment.mixup_alpha=nan", "optim.backbone_lr=nan", "loss.lambda_dim=nan",
         "model.lora_alpha=nan", "optim.eps=nan", "optim.eps=0", "optim.eps=-1e-8",
         "optim.backbone_weight_decay=nan", "optim.backbone_weight_decay=-1e-5",

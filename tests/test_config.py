@@ -137,6 +137,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             RunConfig.load(None, overrides=["augment.enable_mixup=perhaps"])
 
+    def test_empty_speed_factors_rejected(self):
+        """An empty list would leave speed perturbation enabled yet never applied."""
+        with pytest.raises(ConfigError, match="speed factors"):
+            RunConfig.load(None, overrides=["augment.speed_factors="]).augment_config()
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig.load(str(tmp_path / "absent.cfg"))

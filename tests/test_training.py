@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from serkit.autodiff import Tensor
 from serkit.checkpoint import load_into_model
 from serkit.config import RunConfig
 from serkit.datapipe import FeatureStore, read_manifest, stack_padded, synth_dataset
-from serkit.errors import DataError
+from serkit.errors import DataError, SerkitError
 from serkit.losses import DimTargets, LossConfig
 from serkit.model import SERModel
 from serkit.optim import OptimizerConfig
@@ -210,11 +211,26 @@ def default_batch(rng, batch=32, frames=18):
     return features, lengths, np.eye(7)[rng.integers(0, 7, size=batch)], dims
 
 
+def linked_nodes(*roots):
+    """Ops of the nodes reachable from `roots` that still link parents or a backward closure
+    (a released node's `_backward` is a module-level function, which closes over nothing)."""
+    seen, stack, linked = set(), list(roots), []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._parents or getattr(node._backward, "__closure__", None):
+                linked.append(node._op)
+            stack.extend(node._parents)
+    return linked
+
+
 class TestBatchLoss:
     def test_a_step_links_at_most_180_nodes(self, monkeypatch):
-        """Every linked node keeps what its backward reads until backward runs, so the count
-        bounds what a train step holds: 174 with the fused linear, attention-weights and
-        GroupNorm+ReLU nodes, 275 when each was a chain of elementary ops."""
+        """Every linked node keeps what its backward reads until backward() walks past it, so
+        the count bounds what a train step holds at its peak: 174 with the fused linear,
+        attention-weights and GroupNorm+ReLU nodes, 275 when each was a chain of elementary
+        ops. backward() releases them all (see the tests below)."""
         model = SERModel(RunConfig().model_config(0))
         batch = default_batch(np.random.default_rng(0))
         linked = []
@@ -229,6 +245,41 @@ class TestBatchLoss:
         monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
         compute_batch_loss(model, *batch, LossConfig())
         assert len(linked) <= 180, sorted(linked)
+
+    def test_backward_releases_the_graph(self):
+        """After backward() nothing reachable from the losses links a node, and a second
+        backward() through them raises instead of adding to the gradients again."""
+        model = SERModel(RunConfig().model_config(0))
+        loss, ce, cccl = compute_batch_loss(model, *default_batch(np.random.default_rng(0),
+                                                                  batch=8), LossConfig())
+        assert len(linked_nodes(loss)) > 100
+        loss.backward()
+        assert linked_nodes(loss, ce, cccl) == []
+        grads = {name: t.grad.copy() for name, t in model.trainable_parameters().items()}
+        with pytest.raises(SerkitError, match="op 'add' whose graph an earlier backward"):
+            loss.backward()
+        with pytest.raises(SerkitError, match="whose graph an earlier backward"):
+            ce.backward()
+        for name, t in model.trainable_parameters().items():
+            np.testing.assert_array_equal(t.grad, grads[name], err_msg=name)
+
+    def test_consecutive_steps_hold_one_graph(self):
+        """train_loop rebinds `loss` only when the next forward returns, so that forward runs
+        beside whatever the last step left: two steps must peak like one."""
+        model = SERModel(RunConfig().model_config(0))
+        batch = default_batch(np.random.default_rng(0), batch=8)
+        peaks = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                loss, ce, cccl = compute_batch_loss(model, *batch, LossConfig())
+                model.zero_grad()
+                loss.backward()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.3 * peaks[0], peaks
 
     def test_a_step_writes_into_no_input(self):
         """Slices and transposes are views, so no forward or backward may write in place
