@@ -3,7 +3,7 @@
 from .autodiff import Tensor, finite_difference_gradient, group_norm
 from .labels import EMOTIONS, EmotionLabel
 from .losses import DimTargets, LossConfig, ccc, ccc_loss_multi, smooth_labels, total_loss, weighted_cross_entropy
-from .model import LoraAdapter, ModelConfig, ModelOutput, SERModel, lora_merge
+from .model import ModelConfig, ModelOutput, SERModel
 
 __version__ = "0.1.0"
 
@@ -20,10 +20,8 @@ __all__ = [
     "smooth_labels",
     "total_loss",
     "weighted_cross_entropy",
-    "LoraAdapter",
     "ModelConfig",
     "ModelOutput",
     "SERModel",
-    "lora_merge",
     "__version__",
 ]

@@ -21,14 +21,11 @@ frames are a prefix), so padded frames never reach a valid frame's output.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import threading
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, SerkitError, ShapeError
-
-_node_ids = itertools.count()
 
 # Scores per attention tile (~1 MB of float64): a tile's softmax stays in L2 cache.
 BLOCK_ELEMENTS = 1 << 17
@@ -97,7 +94,7 @@ class Tensor:
     between steps by the optimizer, which owns write access.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False, _op: str = "leaf"):
         self.data = _as_array(data)
@@ -106,7 +103,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = _op
-        self._id = next(_node_ids)
 
     # -- accessors ------------------------------------------------------------
 
@@ -191,7 +187,7 @@ class Tensor:
         """Output node of `op`; it links `parents` and `backward` only when a gradient is wanted."""
         out = Tensor(data, _op=op)
         if not np.isfinite(out.data).all():
-            raise NumericError(f"non-finite value in op '{op}' (node {out._id})")
+            raise NumericError(f"non-finite value in op '{op}'")
         if _grad_mode.enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)

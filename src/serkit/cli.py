@@ -97,7 +97,8 @@ def cmd_train(args) -> int:
 
 
 def _load_ensemble(args) -> tuple:
-    """(config, manifest records, one model per --checkpoint) for `eval` and `relabel`."""
+    """(config, manifest records, one LoRA-merged model per --checkpoint) for `eval`
+    and `relabel`: members are scored in their deployed, adapter-free form."""
     if not args.checkpoint:
         raise ConfigError("at least one --checkpoint is required")
     cfg = RunConfig.load(args.config, args.set)
@@ -106,7 +107,7 @@ def _load_ensemble(args) -> tuple:
     for path in args.checkpoint:
         model = SERModel(cfg.model_config(args.seed))
         load_into_model(path, model, expected_hash=cfg.config_hash())
-        models.append(model)
+        models.append(model.merge_adapters())
     return cfg, records, models
 
 
@@ -336,6 +337,10 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # an output path that cannot be made or written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: config: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SerkitError as exc:  # fallback for any future subclass
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -44,6 +44,13 @@ _OPTIONAL_FIELDS = ("features_path", "split", "arousal", "valence", "dominance",
                     "prev_label")
 
 
+def _frame_count(value) -> int:
+    """A JSON `frames` value: 5 and 5.0 read as 5, a bool or a fractional number is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise DataError(f"frames must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ManifestRecord:
     id: str
@@ -111,7 +118,7 @@ class ManifestRecord:
     @staticmethod
     def from_dict(obj: dict, base_dir: Optional[str] = None) -> "ManifestRecord":
         optional = {key: obj[key] for key in _OPTIONAL_FIELDS if key in obj}
-        return ManifestRecord(id=obj["id"], frames=int(obj["frames"]),
+        return ManifestRecord(id=obj["id"], frames=_frame_count(obj["frames"]),
                               frame_rate_hz=float(obj["frame_rate_hz"]), label=obj["label"],
                               base_dir=base_dir, **{"features_path": "", **optional})
 
@@ -224,6 +231,8 @@ def read_features(path: str) -> np.ndarray:
         version, frames, dim = struct.unpack("<III", header)
         if version != FEATURE_VERSION:
             raise DataError(f"unsupported feature file version {version} in {path}")
+        if frames == 0 or dim == 0:
+            raise DataError(f"empty feature file {path}: {frames} x {dim} values")
         size = frames * dim * 4
         stored = os.fstat(handle.fileno()).st_size - 16
         if stored != size:
@@ -371,9 +380,9 @@ def _duration_row(obj: dict) -> tuple:
     if "duration_s" in obj:
         duration = float(obj["duration_s"])
         frame_rate = float(obj.get("frame_rate_hz", 100.0))
-        frames = int(obj.get("frames", round(duration * frame_rate)))
+        frames = _frame_count(obj.get("frames", round(duration * frame_rate)))
     elif "frames" in obj and "frame_rate_hz" in obj:
-        frames = int(obj["frames"])
+        frames = _frame_count(obj["frames"])
         frame_rate = float(obj["frame_rate_hz"])
         duration = frames / frame_rate
     else:

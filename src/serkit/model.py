@@ -149,39 +149,6 @@ class ModelOutput:
     dim_tensor: Tensor          # [3] or [B, 3] sigmoid scores, kept on the graph
 
 
-# -- LoRA ------------------------------------------------------------------
-
-
-@dataclass
-class LoraAdapter:
-    """Low-rank update for one projection: W_eff = W + (alpha/rank) * B @ A."""
-
-    rank: int
-    alpha: float
-    A: Tensor                   # [rank, d_in], seeded Gaussian scale 0.02
-    B: Tensor                   # [d_out, rank], zero-initialized
-
-    def __post_init__(self):
-        if self.A.data.shape[0] != self.rank or self.B.data.shape[1] != self.rank:
-            raise ConfigError(
-                f"LoRA rank mismatch: A {self.A.data.shape}, B {self.B.data.shape}, rank {self.rank}"
-            )
-
-    @property
-    def scaling(self) -> float:
-        return self.alpha / self.rank
-
-
-def lora_merge(base_weight: Tensor, adapter: LoraAdapter) -> Tensor:
-    """Dense merge W' = W + (alpha/rank) * B @ A."""
-    ba = adapter.B.data @ adapter.A.data
-    if ba.shape != base_weight.data.shape:
-        raise ConfigError(
-            f"lora_merge shape mismatch: B@A is {ba.shape}, base weight is {base_weight.data.shape}"
-        )
-    return Tensor(base_weight.data + adapter.scaling * ba)
-
-
 # -- pooling primitives ------------------------------------------------------
 
 
@@ -263,7 +230,6 @@ class SERModel:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
-        self.adapters: dict[str, LoraAdapter] = {}
         rng = np.random.default_rng(cfg.seed)
         self._build_encoder(rng)
         self._build_ecapa(rng)
@@ -313,9 +279,8 @@ class SERModel:
         for i in range(self.cfg.encoder.num_layers):
             for proj in ("q", "k", "v"):
                 prefix = f"encoder.layer{i}.attn.{proj}"
-                a = self._add(f"{prefix}.lora.A", rng.normal(0.0, 0.02, size=(r, d)), True)
-                b = self._add(f"{prefix}.lora.B", np.zeros((d, r)), True)
-                self.adapters[prefix] = LoraAdapter(rank=r, alpha=self.cfg.lora.alpha, A=a, B=b)
+                self._add(f"{prefix}.lora.A", rng.normal(0.0, 0.02, size=(r, d)), True)
+                self._add(f"{prefix}.lora.B", np.zeros((d, r)), True)
 
     def _conv_init(self, rng, c_out, c_in, k):
         return rng.normal(0.0, 1.0 / math.sqrt(c_in * k), size=(c_out, c_in, k))
@@ -408,10 +373,11 @@ class SERModel:
     # -- forward pieces --
 
     def _linear(self, x: Tensor, prefix: str) -> Tensor:
-        """The projection `prefix`, with its LoRA adapter if it has one."""
-        adapter = self.adapters.get(prefix)
-        return linear(x, self.params[f"{prefix}.weight"], self.params[f"{prefix}.bias"],
-                      None if adapter is None else (adapter.A, adapter.B, adapter.scaling))
+        """The projection `prefix`, with its LoRA adapter (`prefix`.lora.A/B) if it has one."""
+        a = self.params.get(f"{prefix}.lora.A")
+        lora = None if a is None else (a, self.params[f"{prefix}.lora.B"],
+                                       self.cfg.lora.alpha / self.cfg.lora.rank)
+        return linear(x, self.params[f"{prefix}.weight"], self.params[f"{prefix}.bias"], lora)
 
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return layer_norm(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"])
@@ -535,15 +501,15 @@ class SERModel:
     # -- LoRA merge --
 
     def merge_adapters(self) -> "SERModel":
-        """Adapter-free clone whose q/k/v weights absorb the LoRA updates."""
-        merged_cfg = replace(copy.deepcopy(self.cfg), lora=LoraConfig(rank=0, alpha=self.cfg.lora.alpha))
-        merged = SERModel(merged_cfg)
-        state = {}
-        for name, tensor in self.params.items():
-            if ".lora." in name:
-                continue
-            state[name] = tensor.data.copy()
-        for prefix, adapter in self.adapters.items():
-            state[f"{prefix}.weight"] = lora_merge(self.params[f"{prefix}.weight"], adapter).data
+        """Adapter-free clone: each projection with `prefix`.lora.A/B gets the weight
+        W + (alpha/rank) * B @ A (Hu et al., arXiv:2106.09685)."""
+        merged = SERModel(replace(copy.deepcopy(self.cfg), lora=replace(self.cfg.lora, rank=0)))
+        state = {name: t.data for name, t in self.params.items() if ".lora." not in name}
+        for name, a in self.params.items():
+            if name.endswith(".lora.A"):
+                prefix = name[:-len(".lora.A")]
+                update = self.params[f"{prefix}.lora.B"].data @ a.data
+                scale = self.cfg.lora.alpha / self.cfg.lora.rank
+                state[f"{prefix}.weight"] = state[f"{prefix}.weight"] + scale * update
         merged.load_state(state)
         return merged

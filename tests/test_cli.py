@@ -7,8 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from serkit.cli import main
-from serkit.datapipe import ConsensusConfig, read_manifest, window_split
+from serkit.checkpoint import load_into_model
+from serkit.cli import _load_ensemble, build_parser, main
+from serkit.datapipe import (ConsensusConfig, load_record_features, read_manifest, window_split,
+                             write_features)
+from serkit.evaluation import predict
+from serkit.model import SERModel
 
 TINY_CONFIG = """\
 # compact geometry for fast CLI tests
@@ -160,6 +164,20 @@ class TestEvalCommand:
                      "--manifest", datasets["eval"], "--report", report,
                      "--granularity", "merged"]) == 0
         assert os.path.exists(report)
+
+    def test_members_scored_with_merged_adapters(self, tmp_path, datasets, tiny_config):
+        out = run_train(tmp_path, datasets, tiny_config, "run_lora")
+        ck = os.path.join(out, "checkpoints", "epoch_002.serc")
+        args = build_parser().parse_args(["eval", "--config", tiny_config, "--checkpoint", ck,
+                                          "--manifest", datasets["eval"], "--report", "r.csv"])
+        cfg, records, (member,) = _load_ensemble(args)
+        assert not [name for name in member.params if ".lora." in name]
+        adapted = SERModel(cfg.model_config(0))
+        load_into_model(ck, adapted)
+        assert any(t.data.any() for n, t in adapted.params.items() if n.endswith(".lora.B"))
+        features = [load_record_features(record) for record in records]
+        for merged, unmerged in zip(predict([member], features), predict([adapted], features)):
+            np.testing.assert_allclose(merged, unmerged, rtol=0, atol=1e-12)
 
     def test_incompatible_checkpoint_exit_1(self, tmp_path, datasets, tiny_config, capsys):
         out = run_train(tmp_path, datasets, tiny_config, "run_bad")
@@ -513,6 +531,27 @@ class TestMalformedInputs:
         assert self._train(tmp_path, datasets, tiny_config,
                            "--set", f"augment.noise_dir={noise_dir}") == 1
         assert "no .serf noise file" in self._one_error_line(capsys, "config")
+
+    def test_empty_noise_file_exit_2(self, tmp_path, datasets, tiny_config, capsys):
+        noise = tmp_path / "noise" / "silence.serf"
+        write_features(str(noise), np.zeros((0, 8)))
+        assert self._train(tmp_path, datasets, tiny_config,
+                           "--set", f"augment.noise_dir={noise.parent}") == 2
+        assert f"empty feature file {noise}" in self._one_error_line(capsys, "data")
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_output_path_that_cannot_be_made_exit_1(self, tmp_path, datasets, tiny_config,
+                                                     capsys, command):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        if command == "train":  # --out names an existing file
+            out = blocker
+            rc = self._train(tmp_path, datasets, tiny_config, "--out", str(out))
+        else:                   # --out lies under a file
+            out = blocker / "x"
+            rc = main(["synth", "--out", str(out), "--n-per-class", "1"])
+        assert rc == 1
+        assert self._one_error_line(capsys, "config").startswith(f"error: config: {out}: ")
 
     def test_report_csv_not_utf8_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

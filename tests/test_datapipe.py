@@ -14,6 +14,7 @@ from serkit.datapipe import (
     consensus_label,
     load_record_features,
     merge_segments,
+    pseudo_label_files,
     read_features,
     read_manifest,
     synth_dataset,
@@ -207,6 +208,13 @@ class TestFeatureFiles:
             with pytest.raises(DataError, match="truncated"):
                 read_features(path)
 
+    def test_empty_rejected(self, tmp_path):
+        for shape in ((0, 4), (3, 0)):  # no frames; no values per frame
+            path = str(tmp_path / f"empty{shape[0]}.serf")
+            write_features(path, np.zeros(shape))
+            with pytest.raises(DataError, match=f"empty feature file {path}"):
+                read_features(path)
+
     def test_frame_count_cross_checked(self, tmp_path):
         write_features(str(tmp_path / "y.serf"), np.zeros((6, 2)))
         record = ManifestRecord(id="u1", features_path="y.serf", frames=7,
@@ -256,10 +264,28 @@ class TestManifests:
         zero_rate = dict(bad_frames, frames=4, frame_rate_hz=0)
         numeric_id = dict(bad_frames, frames=4, id=5)
         for line in (json.dumps(bad_frames), "[1, 2]", json.dumps(zero_rate),
-                     json.dumps(numeric_id)):
+                     json.dumps(numeric_id), json.dumps(dict(bad_frames, frames=4.7)),
+                     json.dumps(dict(bad_frames, frames=True))):
             path.write_text(line + "\n")
             with pytest.raises(DataError, match="bad.jsonl:1"):
                 read_manifest(str(path))
+
+    def test_whole_frame_counts_only(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        line = {"id": "x", "features_path": "x.serf", "frame_rate_hz": 8.0, "label": "Happy"}
+        for frames in (5, 5.0):
+            path.write_text(json.dumps(dict(line, frames=frames)) + "\n")
+            assert read_manifest(str(path))[0].frames == 5
+        # a durations file's frames go through the same check
+        predictions, durations = tmp_path / "p.jsonl", tmp_path / "d.jsonl"
+        predictions.write_text(json.dumps({"utterance_id": "u1", "window_start_s": 0,
+                                           "window_end_s": 4, "label": "angry"}) + "\n")
+        for frames in (4.7, True):
+            durations.write_text(json.dumps({"id": "u1", "frames": frames,
+                                             "frame_rate_hz": 8.0}) + "\n")
+            with pytest.raises(DataError, match="d.jsonl:1: frames must be a whole number"):
+                pseudo_label_files(str(predictions), str(predictions), str(durations),
+                                   ConsensusConfig())
 
     def test_relative_feature_paths_rebased_onto_output_directory(self, tmp_path):
         manifest = synth_dataset(str(tmp_path / "src"), n_per_class=1, frames=4, dim=3)

@@ -10,7 +10,6 @@ from serkit.errors import ConfigError, ShapeError
 from serkit.model import (
     EcapaConfig,
     EncoderStubConfig,
-    LoraAdapter,
     LoraConfig,
     ModelConfig,
     PoolingConfig,
@@ -18,7 +17,6 @@ from serkit.model import (
     _window_matrix,
     attention_weights,
     attentive_stats_pool,
-    lora_merge,
     multiscale_hierarchical_pool,
 )
 
@@ -67,9 +65,11 @@ class TestLora:
     def test_random_adapters_match_dense_merge(self, features):
         rng = np.random.default_rng(2)
         model = SERModel(small_config(seed=3))
-        for adapter in model.adapters.values():
-            adapter.B.data = rng.normal(0.0, 0.1, size=adapter.B.data.shape)
-            adapter.A.data = rng.normal(0.0, 0.1, size=adapter.A.data.shape)
+        for name, b in model.params.items():
+            if name.endswith(".lora.B"):
+                a = model.params[name[:-1] + "A"]
+                b.data = rng.normal(0.0, 0.1, size=b.data.shape)
+                a.data = rng.normal(0.0, 0.1, size=a.data.shape)
         merged = model.merge_adapters()
         baseline = SERModel(small_config(seed=3, lora=LoraConfig(rank=0)))
 
@@ -82,8 +82,9 @@ class TestLora:
     def test_merge_equivalence_full_forward_100_inputs(self):
         rng = np.random.default_rng(7)
         model = SERModel(small_config(seed=4))
-        for adapter in model.adapters.values():
-            adapter.B.data = rng.normal(0.0, 0.05, size=adapter.B.data.shape)
+        for name, b in model.params.items():
+            if name.endswith(".lora.B"):
+                b.data = rng.normal(0.0, 0.05, size=b.data.shape)
         merged = model.merge_adapters()
         worst = 0.0
         for _ in range(100):
@@ -94,24 +95,30 @@ class TestLora:
             worst = max(worst, np.max(np.abs(pa.dim_tensor.data - pm.dim_tensor.data)))
         assert worst < 1e-10
 
-    def test_lora_merge_zero_b_exact(self):
-        rng = np.random.default_rng(8)
-        w = Tensor(rng.normal(size=(6, 6)))
-        adapter = LoraAdapter(rank=2, alpha=4.0, A=Tensor(rng.normal(size=(2, 6))),
-                              B=Tensor(np.zeros((6, 2))))
-        np.testing.assert_array_equal(lora_merge(w, adapter).data, w.data)
+    def test_merge_with_zero_b_gives_base_weights(self):
+        model = SERModel(small_config(seed=8))
+        merged = model.merge_adapters()
+        assert merged.params.keys() == {n for n in model.params if ".lora." not in n}
+        for name, tensor in merged.params.items():
+            np.testing.assert_array_equal(tensor.data, model.params[name].data, err_msg=name)
 
-    def test_lora_merge_identity_construction(self):
-        d = 4
-        w = Tensor(np.random.default_rng(9).normal(size=(d, d)))
-        adapter = LoraAdapter(rank=d, alpha=float(d), A=Tensor(np.eye(d)),
-                              B=Tensor(np.eye(d)))
-        np.testing.assert_allclose(lora_merge(w, adapter).data, w.data + np.eye(d), atol=1e-15)
-
-    def test_lora_rank_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            LoraAdapter(rank=3, alpha=1.0, A=Tensor(np.zeros((2, 4))),
-                        B=Tensor(np.zeros((4, 2))))
+    def test_merged_weight_is_w_plus_scaled_ba(self):
+        rng = np.random.default_rng(9)
+        model = SERModel(small_config(seed=9, lora=LoraConfig(rank=2, alpha=3.0)))
+        for name, b in model.params.items():
+            if name.endswith(".lora.B"):
+                b.data = rng.normal(size=b.data.shape)
+        merged = model.merge_adapters()
+        p = model.params
+        adapted = [n[:-len(".lora.B")] for n in p if n.endswith(".lora.B")]
+        assert len(adapted) == 6
+        for name, tensor in merged.params.items():
+            prefix = name.removesuffix(".weight")
+            expected = p[name].data
+            if prefix in adapted:
+                b, a = p[f"{prefix}.lora.B"].data, p[f"{prefix}.lora.A"].data
+                expected = expected + (3.0 / 2) * (b @ a)  # alpha / rank
+            np.testing.assert_array_equal(tensor.data, expected, err_msg=name)
 
     def test_frozen_base_bitwise_after_updates(self, features):
         from serkit.optim import AdamWGroups, OptimizerConfig
@@ -409,8 +416,9 @@ class TestModelForward:
 
 
 PADDING_MODEL = SERModel(small_config(seed=21))
-for _adapter in PADDING_MODEL.adapters.values():   # let the adapters act on the encoder
-    _adapter.B.data = np.random.default_rng(22).normal(0.0, 0.1, size=_adapter.B.data.shape)
+for _name, _b in PADDING_MODEL.params.items():   # let the adapters act on the encoder
+    if _name.endswith(".lora.B"):
+        _b.data = np.random.default_rng(22).normal(0.0, 0.1, size=_b.data.shape)
 
 
 class TestPaddingInvariance:

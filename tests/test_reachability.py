@@ -18,7 +18,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "serkit"
 ALLOWED = {
     "reset_augment_counters": "perfbench reads the augmentation counters",
     "total_augment_count": "perfbench reads the augmentation counters",
-    "merge_adapters": "the LoRA merge contract: adapters fold into a plain model",
     "select_top_checkpoints": "ROADMAP item 8 wires it into eval's top-k ensemble",
     "finite_difference_gradient": "the tests' finite-difference oracle for whole tensors",
 }

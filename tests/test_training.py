@@ -285,8 +285,9 @@ class TestBatchLoss:
         """Slices and transposes are views, so no forward or backward may write in place
         into what it reads: parameters and features keep their bytes."""
         model = SERModel(RunConfig().model_config(0))
-        for adapter in model.adapters.values():
-            adapter.B.data = np.random.default_rng(1).normal(0.0, 0.1, size=adapter.B.data.shape)
+        for name, b in model.params.items():
+            if name.endswith(".lora.B"):
+                b.data = np.random.default_rng(1).normal(0.0, 0.1, size=b.data.shape)
         features, lengths, cats, dims = default_batch(np.random.default_rng(2), batch=6)
         before = {name: t.data.tobytes() for name, t in model.params.items()}
         features_before = features.tobytes()
@@ -297,8 +298,9 @@ class TestBatchLoss:
 
     def test_extra_padding_changes_neither_loss_nor_gradients(self):
         model = tiny_model(seed=4)
-        for adapter in model.adapters.values():
-            adapter.B.data = np.random.default_rng(5).normal(0.0, 0.1, size=adapter.B.data.shape)
+        for name, b in model.params.items():
+            if name.endswith(".lora.B"):
+                b.data = np.random.default_rng(5).normal(0.0, 0.1, size=b.data.shape)
         rng = np.random.default_rng(6)
         features, lengths = stack_padded([rng.normal(size=(n, 8)) for n in (3, 9, 6, 1)])
         np.testing.assert_array_equal(lengths, [3, 9, 6, 1])
