@@ -657,9 +657,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     one n and about BLOCK_ELEMENTS scores (~1 MB), so a tile's scores stay
     in cache. A tile computes only its [:n, :n] scores: padded query rows
     come out 0 with no gradient, and each pair's result is bit-identical to
-    its unpadded run whatever its tile-mates. e = exp(s - max s) is kept
-    unnormalised (for backward too, only when a gradient is wanted); its row
-    sums divide the [n, d/H] output, and backward reads rowsum(p * dp) off it.
+    its unpadded run whatever its tile-mates. Scores are exponentiated
+    unshifted, e = exp(s), and one matmul e @ [v, 1] gives the unnormalised
+    [n, d/H] output and its row sums together. A row whose sum is not
+    finite or lies outside [1e-280, 1e280] falls back to e = exp(s - max s);
+    the test reads only that row. Under no_grad the scores of every tile go
+    into one reused buffer; with a gradient each tile's e and row sums are
+    kept, and backward reads rowsum(p * dp) off them.
     """
     shape = q.data.shape
     if q.data.ndim < 2 or k.data.shape != shape or v.data.shape != shape:
@@ -681,10 +685,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     order = sorted(range(utterances), key=lengths.__getitem__)     # stable, by length
     rank = sorted(range(utterances), key=order.__getitem__)        # its inverse
 
-    def split(a):      # [..., T, d] -> [N*H, T, d/H], one row per (utterance, head), by length
-        heads = np.empty((utterances, num_heads, t, head_dim))
-        heads[rank] = np.swapaxes(a.reshape(-1, t, num_heads, head_dim), 1, 2)
-        return heads.reshape(-1, t, head_dim)
+    def split(a, ones=0):  # [..., T, d] -> [N*H, T, d/H] by length, plus `ones` columns of 1
+        heads = np.empty((utterances, num_heads, t, head_dim + ones))
+        heads[rank, ..., :head_dim] = np.swapaxes(a.reshape(-1, t, num_heads, head_dim), 1, 2)
+        heads[..., head_dim:] = 1.0
+        return heads.reshape(-1, t, head_dim + ones)
 
     def merge(a):      # [N*H, T, d/H] -> [..., T, d], back in utterance order
         frames = np.empty((utterances, t, num_heads, head_dim))
@@ -697,37 +702,57 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         lo, hi = np.searchsorted(pair_lengths, [n, n + 1])
         rows = max(1, BLOCK_ELEMENTS // (n * n))
         tiles += [(slice(a, min(a + rows, hi)), n) for a in range(lo, hi, rows)]
-    qf, kf, vf = split(q.data * inv_scale), split(k.data), split(v.data)
+    largest = max((blk.stop - blk.start) * n * n for blk, n in tiles)
+
+    def scratch(buffer, blk, n):     # a tile's [m, n, n] view of a reused flat buffer
+        return buffer[:(blk.stop - blk.start) * n * n].reshape(-1, n, n)
+
+    qf, kf, v1 = split(q.data * inv_scale), split(k.data), split(v.data, ones=1)
     keep = _grad_mode.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+    buffer = None if keep else np.empty(largest)
     saved, out = [], np.zeros_like(qf)
-    for blk, n in tiles:
-        e = qf[blk, :n] @ np.swapaxes(kf[blk, :n], -1, -2)
-        e -= np.max(e, axis=-1, keepdims=True)
-        np.exp(e, out=e)                  # softmax = e / total
-        total = np.sum(e, axis=-1, keepdims=True)
-        np.divide(e @ vf[blk, :n], total, out=out[blk, :n])
-        if keep:
-            saved.append((e, total))
+    with np.errstate(over="ignore", invalid="ignore"):    # such rows take the fallback
+        for blk, n in tiles:
+            kt = np.swapaxes(kf[blk, :n], -1, -2)
+            e = qf[blk, :n] @ kt if keep else np.matmul(qf[blk, :n], kt,
+                                                       out=scratch(buffer, blk, n))
+            np.exp(e, out=e)
+            ev = e @ v1[blk, :n]          # [e @ v, rowsum(e)]; softmax @ v = e @ v / rowsum(e)
+            total = ev[..., head_dim:]
+            bad = ~((total >= 1e-280) & (total <= 1e280))    # NaN fails both
+            if bad.any():
+                pairs, rows, _ = np.nonzero(bad)
+                s = np.matmul(qf[blk][pairs, rows, None], kt[pairs])    # [R, 1, n]
+                s -= np.max(s, axis=-1, keepdims=True)
+                np.exp(s, out=s)
+                e[pairs, rows] = s[:, 0]
+                ev[pairs, rows] = np.matmul(s, v1[blk, :n][pairs])[:, 0]
+            np.divide(ev[..., :head_dim], total, out=out[blk, :n])
+            if keep:
+                saved.append((e, total.copy()))    # not a view, which would keep all of ev
 
     def backward(g):
         # Split again rather than keep the forward's head-major copies alive in the graph.
         # scores = (q * s) k^T, so dq = dscores (k * s) and dk = dscores^T (q * s).
         qf, kf = split(q.data * inv_scale), split(k.data * inv_scale)
-        vf, gf = split(v.data), split(g)
+        v1, gf = split(v.data, ones=1), split(g)
         dq, dk, dv = (np.zeros_like(qf) if a.requires_grad else None for a in (q, k, v))
+        buffer = None if dq is None and dk is None else np.empty(largest)
         for (blk, n), (e, total) in zip(tiles, saved):
-            gb = gf[blk, :n] / total      # with p = e / total, p^T g = e^T gb
+            gc = np.empty(v1[blk, :n].shape)                  # [gb, -c]
+            gb = np.divide(gf[blk, :n], total, out=gc[..., :head_dim])   # p^T g = e^T gb
             if dv is not None:
                 np.matmul(np.swapaxes(e, -1, -2), gb, out=dv[blk, :n])
-            if dq is not None or dk is not None:
-                # dscores = p * (g v^T - rowsum(g * out)) = e * (gb v^T - rowsum(gb * out))
-                ds = gb @ np.swapaxes(vf[blk, :n], -1, -2)
-                ds -= np.sum(gb * out[blk, :n], axis=-1, keepdims=True)
-                ds *= e
+            if buffer is not None:
+                # dscores = p * (g v^T - rowsum(g * out)) = e * ([gb, -c] @ [v, 1]^T),
+                # with c = rowsum(gb * out)
+                gc[..., head_dim:] = -np.sum(gb * out[blk, :n], axis=-1, keepdims=True)
+                ds = np.matmul(gc, np.swapaxes(v1[blk, :n], -1, -2), out=scratch(buffer, blk, n))
+                e *= ds                   # in place: backward() releases e after this walk
                 if dq is not None:
-                    np.matmul(ds, kf[blk, :n], out=dq[blk, :n])
+                    np.matmul(e, kf[blk, :n], out=dq[blk, :n])
                 if dk is not None:
-                    np.matmul(np.swapaxes(ds, -1, -2), qf[blk, :n], out=dk[blk, :n])
+                    np.matmul(np.swapaxes(e, -1, -2), qf[blk, :n], out=dk[blk, :n])
         for tensor, grad in ((q, dq), (k, dk), (v, dv)):
             if grad is not None:
                 tensor._accumulate(merge(grad))

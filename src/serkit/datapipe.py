@@ -257,16 +257,27 @@ def load_record_features(record: ManifestRecord) -> np.ndarray:
     return features
 
 
-class FeatureStore:
-    """Tiny read-through cache for repeated epoch passes over one manifest."""
+def check_feature_width(record: ManifestRecord, features: np.ndarray,
+                        feature_dim: int) -> np.ndarray:
+    """`features`, once each frame is known to hold the model's `feature_dim` values."""
+    if features.shape[1] != feature_dim:
+        raise DataError(f"feature file {record.resolved_features_path()} has "
+                        f"{features.shape[1]} values per frame, the model expects {feature_dim}")
+    return features
 
-    def __init__(self):
+
+class FeatureStore:
+    """Tiny read-through cache for repeated epoch passes over one manifest, whose files
+    must all hold `feature_dim` values per frame."""
+
+    def __init__(self, feature_dim: int):
+        self._feature_dim = feature_dim
         self._cache: dict = {}
 
     def get(self, record: ManifestRecord) -> np.ndarray:
         cached = self._cache.get(record.id)
         if cached is None:
-            cached = load_record_features(record)
+            cached = check_feature_width(record, load_record_features(record), self._feature_dim)
             self._cache[record.id] = cached
         return cached
 
@@ -381,6 +392,10 @@ def _duration_row(obj: dict) -> tuple:
         duration = float(obj["duration_s"])
         frame_rate = float(obj.get("frame_rate_hz", 100.0))
         frames = _frame_count(obj.get("frames", round(duration * frame_rate)))
+        if abs(frames - duration * frame_rate) > 1.0:
+            raise DataError(f"utterance {obj['id']}: duration_s={duration} is "
+                            f"{duration * frame_rate:g} frames at {frame_rate:g} Hz, "
+                            f"not frames={frames}")
     elif "frames" in obj and "frame_rate_hz" in obj:
         frames = _frame_count(obj["frames"])
         frame_rate = float(obj["frame_rate_hz"])

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .datapipe import MERGE_CAP_S, load_record_features, merge_segments, stack_padded
+from .datapipe import (MERGE_CAP_S, check_feature_width, load_record_features, merge_segments,
+                       stack_padded)
 from .errors import DataError
 from .labels import NUM_CLASSES, EmotionLabel
 from .losses import ccc
@@ -99,6 +100,13 @@ def select_top_checkpoints(history: list, k: int = 4) -> list:
     return [history[i][0] for i in ranked[:k]]
 
 
+def _feature_dim(models: list) -> int:
+    """The width of the feature frames that an ensemble's members take."""
+    if not models:
+        raise DataError("ensemble needs at least one model")
+    return models[0].cfg.feature_dim
+
+
 def ensemble_predict(models: list, features, lengths=None) -> ModelOutput:
     """Arithmetic mean of post-softmax probabilities and post-sigmoid dims.
 
@@ -139,15 +147,18 @@ def two_pass_relabel(models: list, records: list) -> tuple:
     """Relabel every record with the ensemble's class and dimensions.
 
     The pass-1 label is kept in `prev_label`. Records whose feature file
-    cannot be read are skipped and logged. Returns (records, stats).
+    cannot be read are skipped and logged; a file read whole whose frames
+    are not as wide as the models take raises DataError. Returns (records, stats).
     """
+    feature_dim = _feature_dim(models)
     readable, features = [], []
     for record in records:
         try:
-            features.append(load_record_features(record))
+            matrix = load_record_features(record)
         except DataError as exc:
             log.warning("skipping %s: %s", record.id, exc)
         else:
+            features.append(check_feature_width(record, matrix, feature_dim))
             readable.append(record)
     probs, dims = predict(models, features)
     relabeled = [replace(record, label=EmotionLabel(int(k)).canonical_name, arousal=a,
@@ -212,7 +223,9 @@ def evaluate_manifest(models: list, records: list, granularity: str = "fine",
     """
     if granularity not in ("fine", "merged"):
         raise DataError(f"unknown granularity {granularity!r}")
-    probs, dims = predict(models, [load_record_features(record) for record in records])
+    feature_dim = _feature_dim(models)
+    probs, dims = predict(models, [check_feature_width(record, load_record_features(record),
+                                                       feature_dim) for record in records])
     refs = np.array([record.dim_array() for record in records])
     has_dims = np.array([record.has_dims for record in records])
     edges = np.concatenate(([0.0], np.cumsum([record.duration_s for record in records])))

@@ -174,7 +174,7 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                               min_lr_factor=train_cfg.min_lr_factor)
     optimizer = AdamWGroups(model.backbone_parameters(), model.downstream_parameters(), opt_cfg)
     noise_source = make_noise_source(augment_cfg) if augment_cfg.enable_noise else None
-    store = FeatureStore()
+    store = FeatureStore(model.cfg.feature_dim)
     state = TrainState(seed=train_cfg.seed)
 
     os.makedirs(out_dir, exist_ok=True)

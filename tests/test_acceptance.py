@@ -60,7 +60,7 @@ def criterion(name: str):
 
 def batch_predictions(model, records: list) -> tuple:
     """Per-record (predicted class, dim scores) without augmentation."""
-    store = FeatureStore()
+    store = FeatureStore(model.cfg.feature_dim)
     probs, dims = predict([model], [store.get(record) for record in records])
     return np.argmax(probs, axis=1), dims
 

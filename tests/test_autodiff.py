@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -664,6 +665,16 @@ class TestBlockedAttention:
         assert retained < softmax_bytes / 10
         assert peak < softmax_bytes / 2
 
+    def test_grad_keeps_exponentials_and_row_sums_only(self):
+        x0 = np.random.default_rng(18).uniform(-1.0, 1.0, size=(8, 200, 64))
+        x = Tensor(x0, requires_grad=True)
+        retained, _ = traced_bytes(lambda: multi_head_attention(x, x, x, 2), x0.shape)
+        pairs, n = 8 * 2, 200
+        e_and_sums = pairs * n * n * 8 + pairs * n * 8        # [m, n, n] tiles, [m, n, 1] sums
+        # plus the output and its head-major copy for backward; a kept [m, n, d/H + 1]
+        # product would add 16 * 200 * 32 * 8 bytes (800 KiB) over the row sums
+        assert retained <= e_and_sums + 2 * x0.nbytes + (64 << 10)
+
 
 def _seeded_attention(q0, k0, v0, g0, lengths):
     """Output and q/k/v gradients of one attention node under the backward seed g0."""
@@ -699,6 +710,68 @@ class TestAttentionLengths:
                 multi_head_attention(x, x, x, 2, lengths)
         with pytest.raises(NumericError, match="attention"):
             multi_head_attention(x, x, x, 2, [4, 0])
+
+
+def _fallback_batch(rng, lengths, t_max):
+    """q, k, v [B, T, 4] (2 heads of 2) plus a [B, T, 4] backward seed. Each (frame, head)
+    query is plain, or +-33 along keys whose first value is about 33: its scores then lie
+    near +-770, past what exp takes (710) or all below where it underflows to 0 (-746).
+    The third utterance's queries are all plain, so a tile can mix it with fallback rows."""
+    size = (len(lengths), t_max, 2)
+    q = rng.uniform(-1.0, 1.0, size=size + (2,))
+    sign = rng.choice([0.0, 1.0, -1.0], size=size)
+    sign[2] = 0.0
+    q[sign != 0.0] = 0.0
+    q[..., 0] += 33.0 * sign
+    k = np.stack([33.0 * (1.0 + 0.003 * rng.uniform(-1.0, 1.0, size=size)),
+                  rng.uniform(-1.0, 1.0, size=size)], axis=-1)
+    v = rng.uniform(-1.0, 1.0, size=q.shape)
+    scores = np.einsum("bihd,bjhd->bhij", q, k) / np.sqrt(2.0)
+    valid = np.arange(t_max) < np.asarray(lengths)[:, None]
+    rows = scores[np.broadcast_to(valid[:, None, :, None] & valid[:, None, None, :],
+                                  scores.shape)]
+    assert rows.max() > 720.0 and rows.min() < -760.0
+    return (q.reshape(size[:2] + (4,)), k.reshape(size[:2] + (4,)),
+            v.reshape(size[:2] + (4,)), rng.normal(size=size[:2] + (4,)))
+
+
+class TestAttentionFallback:
+    """Rows whose unshifted exponentials overflow or all underflow take the max-shifted path."""
+
+    LENGTHS = (5, 7, 5, 3)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_composed_and_fd_without_warnings(self, seed):
+        q0, k0, v0, _ = _fallback_batch(np.random.default_rng(19000 + seed), self.LENGTHS, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused = multi_head_attention(Tensor(q0), Tensor(k0), Tensor(v0), 2, self.LENGTHS)
+            for b, n in enumerate(self.LENGTHS):
+                ref = composed_attention(Tensor(q0[b, :n]), Tensor(k0[b, :n]),
+                                         Tensor(v0[b, :n]), 2).data
+                np.testing.assert_allclose(fused.data[b, :n], ref, rtol=0, atol=1e-12)
+            lengths = self.LENGTHS
+            fd_check(lambda q: multi_head_attention(q, Tensor(k0), Tensor(v0), 2, lengths), q0)
+            fd_check(lambda k: multi_head_attention(Tensor(q0), k, Tensor(v0), 2, lengths), k0)
+            fd_check(lambda v: multi_head_attention(Tensor(q0), Tensor(k0), v, 2, lengths), v0)
+
+    @pytest.mark.parametrize("block", [None, 2 * 5 * 5])
+    def test_rows_equal_their_unpadded_run(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(autodiff, "BLOCK_ELEMENTS", block)
+        q0, k0, v0, g0 = _fallback_batch(np.random.default_rng(20), self.LENGTHS, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = _seeded_attention(q0, k0, v0, g0, self.LENGTHS)
+            for b, n in enumerate(self.LENGTHS):
+                single = _seeded_attention(q0[b:b + 1, :n], k0[b:b + 1, :n], v0[b:b + 1, :n],
+                                           g0[b:b + 1, :n], None)
+                for got, want in zip(batch, single):
+                    assert np.array_equal(got[b, :n], want[0])
+                    assert np.all(got[b, n:] == 0.0)
+            with no_grad():
+                free = multi_head_attention(Tensor(q0), Tensor(k0), Tensor(v0), 2, self.LENGTHS)
+        assert np.array_equal(free.data, batch[0])
 
 
 NORMS = {

@@ -334,6 +334,24 @@ class TestPseudolabelCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: data: ")
 
+    def test_duration_disagreeing_with_frames_exit_2(self, tmp_path, capsys):
+        rows = [("u1", s, e, "angry") for s, e in self._windows(10.0)]
+        write_predictions(tmp_path / "a.jsonl", rows)
+        argv = ["pseudolabel", "--pred-a", str(tmp_path / "a.jsonl"),
+                "--pred-b", str(tmp_path / "a.jsonl"), "--durations", str(tmp_path / "d.jsonl"),
+                "--out", str(tmp_path / "p.jsonl")]
+        line = {"id": "u1", "duration_s": 10.0, "frames": 5, "frame_rate_hz": 100.0}
+        (tmp_path / "d.jsonl").write_text(json.dumps(line) + "\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: ")
+        assert ("d.jsonl:1: utterance u1: duration_s=10.0 is 1000 frames at 100 Hz, "
+                "not frames=5") in err
+        for frames in (999, 1001):             # within one frame of 10 s at 100 Hz
+            (tmp_path / "d.jsonl").write_text(json.dumps(dict(line, frames=frames)) + "\n")
+            assert main(argv) == 0
+            assert read_manifest(str(tmp_path / "p.jsonl"))[0].frames == frames
+
 
 class TestGradcheckCommand:
     def test_default_tolerance_passes_seed_zero(self, capsys):
@@ -460,6 +478,29 @@ class TestMalformedInputs:
                          "--report", str(tmp_path / "r.csv")]) == 2
         error = self._one_error_line(capsys, "data")
         assert f"non-finite feature value in {record.resolved_features_path()} at frame 3" in error
+
+    @pytest.mark.parametrize("command", ["train", "eval", "relabel"])
+    @pytest.mark.parametrize("files", ["one", "all"])
+    def test_feature_width_other_than_model_exit_2(self, tmp_path, datasets, tiny_config,
+                                                    capsys, command, files):
+        out = run_train(tmp_path, datasets, tiny_config, "trained") if command != "train" else None
+        manifest = datasets["eval" if command == "eval" else "train"]
+        records = read_manifest(manifest)
+        widened = records[1:2] if files == "one" else records
+        for record in widened:
+            write_features(record.resolved_features_path(), np.ones((record.frames, 16)))
+        checkpoint = None if out is None else os.path.join(out, "checkpoints", "epoch_001.serc")
+        if command == "train":
+            assert self._train(tmp_path, datasets, tiny_config) == 2
+        elif command == "eval":
+            assert main(["eval", "--config", tiny_config, "--checkpoint", checkpoint,
+                         "--manifest", manifest, "--report", str(tmp_path / "r.csv")]) == 2
+        else:
+            assert main(["relabel", "--config", tiny_config, "--checkpoint", checkpoint,
+                         "--manifest", manifest, "--out", str(tmp_path / "r.jsonl")]) == 2
+        error = self._one_error_line(capsys, "data")
+        assert any(f"feature file {record.resolved_features_path()} has 16 values per frame, "
+                   "the model expects 8" in error for record in widened)
 
     def test_config_not_utf8_exit_1(self, tmp_path, datasets, tiny_config, capsys):
         bad = tmp_path / "bad.cfg"

@@ -133,7 +133,8 @@ class TestTrainLoop:
         for path, _epoch, recorded in state.history:
             clone = tiny_model(seed=99)
             meta = load_into_model(path, clone)
-            recomputed = dev_categorical_loss(clone, dev, loss_cfg, FeatureStore())
+            store = FeatureStore(clone.cfg.feature_dim)
+            recomputed = dev_categorical_loss(clone, dev, loss_cfg, store)
             assert abs(recomputed - recorded) < 1e-9
             assert abs(meta.dev_cat_loss - recorded) < 1e-15
 
@@ -141,7 +142,7 @@ class TestTrainLoop:
         train, dev = make_data(tmp_path)
         model = tiny_model()
         reset_augment_counters()
-        dev_categorical_loss(model, dev, LossConfig(), FeatureStore())
+        dev_categorical_loss(model, dev, LossConfig(), FeatureStore(model.cfg.feature_dim))
         from serkit.evaluation import evaluate_manifest
 
         evaluate_manifest([model], dev)
