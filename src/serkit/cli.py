@@ -105,7 +105,7 @@ def _load_ensemble(args) -> tuple:
     records = read_manifest(args.manifest)
     models = []
     for path in args.checkpoint:
-        model = SERModel(cfg.model_config(args.seed))
+        model = SERModel(cfg.model_config(args.seed), draw=False)
         load_into_model(path, model, expected_hash=cfg.config_hash())
         models.append(model.merge_adapters())
     return cfg, records, models

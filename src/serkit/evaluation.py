@@ -19,17 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor, no_grad
-from .datapipe import (MERGE_CAP_S, check_feature_width, load_record_features, merge_segments,
-                       stack_padded)
+from .datapipe import (MERGE_CAP_S, check_feature_width, length_groups, load_record_features,
+                       merge_segments, stack_padded)
 from .errors import DataError
 from .labels import NUM_CLASSES, EmotionLabel
 from .losses import ccc
 from .model import ModelOutput
 
 log = logging.getLogger("serkit.evaluation")
-
-# Padded frames per `predict` group: 800-1600 beat B=1 and whole-set batches on dev and eval sets.
-PREDICT_FRAMES = 1024
 
 PRIMARY_FOUR = frozenset({EmotionLabel.NEUTRAL, EmotionLabel.ANGRY,
                           EmotionLabel.SAD, EmotionLabel.HAPPY})
@@ -124,20 +121,14 @@ def ensemble_predict(models: list, features, lengths=None) -> ModelOutput:
 def predict(models: list, feature_list: list) -> tuple:
     """Ensemble (probs [N, 7], dims [N, 3]) of [T, D] utterances, rows in input order.
 
-    Utterances run shortest first, in padded groups of at most PREDICT_FRAMES
-    frames (rows x longest) or of one longer utterance. A row depends neither
-    on its batch-mates nor on padding, so grouping sets only speed and memory.
+    Utterances run in the padded `length_groups` of their lengths. A row
+    depends neither on its batch-mates nor on padding, so grouping sets only
+    speed and memory.
     """
     if not models:
         raise DataError("ensemble needs at least one model")
-    groups = []
-    for i in sorted(range(len(feature_list)), key=lambda j: len(feature_list[j])):
-        if groups and (len(groups[-1]) + 1) * len(feature_list[i]) <= PREDICT_FRAMES:
-            groups[-1].append(i)    # sorted, so utterance i is the group's longest
-        else:
-            groups.append([i])
     probs, dims = np.zeros((len(feature_list), NUM_CLASSES)), np.zeros((len(feature_list), 3))
-    for rows in groups:
+    for rows in length_groups([len(f) for f in feature_list]):
         out = ensemble_predict(models, *stack_padded([feature_list[i] for i in rows]))
         probs[rows], dims[rows] = out.cat_probs.data, out.dim_tensor.data
     return probs, dims

@@ -227,16 +227,18 @@ def attentive_stats_pool(x: Tensor, w: Tensor, b: Tensor, v: Tensor,
 class SERModel:
     """The full network; parameters in a flat dotted-name table."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, draw: bool = True):
+        """A seeded random initialisation; with draw=False every drawn weight is zero
+        instead, for a caller that loads all of them next (`load_state`)."""
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed) if draw else None
         self._build_encoder(rng)
         self._build_ecapa(rng)
         self._build_pooling(rng)
         self._build_heads(rng)
         # Separate stream so enabling/disabling LoRA cannot shift base init.
-        self._build_lora(np.random.default_rng((cfg.seed, 0x10AD)))
+        self._build_lora(np.random.default_rng((cfg.seed, 0x10AD)) if draw else None)
 
     # -- construction --
 
@@ -245,8 +247,13 @@ class SERModel:
         self.params[name] = tensor
         return tensor
 
+    @staticmethod
+    def _normal(rng, std, shape):
+        """N(0, std^2) weights of `shape`, or zeros when rng is None (nothing drawn)."""
+        return np.zeros(shape) if rng is None else rng.normal(0.0, std, size=shape)
+
     def _linear_init(self, rng, fan_out, fan_in):
-        return rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_out, fan_in))
+        return self._normal(rng, 1.0 / math.sqrt(fan_in), (fan_out, fan_in))
 
     def _build_encoder(self, rng):
         enc = self.cfg.encoder
@@ -279,11 +286,11 @@ class SERModel:
         for i in range(self.cfg.encoder.num_layers):
             for proj in ("q", "k", "v"):
                 prefix = f"encoder.layer{i}.attn.{proj}"
-                self._add(f"{prefix}.lora.A", rng.normal(0.0, 0.02, size=(r, d)), True)
+                self._add(f"{prefix}.lora.A", self._normal(rng, 0.02, (r, d)), True)
                 self._add(f"{prefix}.lora.B", np.zeros((d, r)), True)
 
     def _conv_init(self, rng, c_out, c_in, k):
-        return rng.normal(0.0, 1.0 / math.sqrt(c_in * k), size=(c_out, c_in, k))
+        return self._normal(rng, 1.0 / math.sqrt(c_in * k), (c_out, c_in, k))
 
     def _add_gn(self, prefix, channels):
         self._add(f"{prefix}.gamma", np.ones(channels), True)
@@ -320,7 +327,7 @@ class SERModel:
         h = e.stats_attention_hidden
         self._add("ecapa.stats.attn.W", self._linear_init(rng, h, c), True)
         self._add("ecapa.stats.attn.b", np.zeros(h), True)
-        self._add("ecapa.stats.attn.v", rng.normal(0.0, 1.0 / math.sqrt(h), size=h), True)
+        self._add("ecapa.stats.attn.v", self._normal(rng, 1.0 / math.sqrt(h), h), True)
 
     def _build_pooling(self, rng):
         c = self.cfg.ecapa.channels
@@ -328,7 +335,7 @@ class SERModel:
         for name in ("pool.scale_attn", "pool.hier_attn"):
             self._add(f"{name}.W", self._linear_init(rng, h, c), True)
             self._add(f"{name}.b", np.zeros(h), True)
-            self._add(f"{name}.v", rng.normal(0.0, 1.0 / math.sqrt(h), size=h), True)
+            self._add(f"{name}.v", self._normal(rng, 1.0 / math.sqrt(h), h), True)
 
     def _build_heads(self, rng):
         c = self.cfg.ecapa.channels
@@ -503,7 +510,8 @@ class SERModel:
     def merge_adapters(self) -> "SERModel":
         """Adapter-free clone: each projection with `prefix`.lora.A/B gets the weight
         W + (alpha/rank) * B @ A (Hu et al., arXiv:2106.09685)."""
-        merged = SERModel(replace(copy.deepcopy(self.cfg), lora=replace(self.cfg.lora, rank=0)))
+        merged = SERModel(replace(copy.deepcopy(self.cfg), lora=replace(self.cfg.lora, rank=0)),
+                          draw=False)
         state = {name: t.data for name, t in self.params.items() if ".lora." not in name}
         for name, a in self.params.items():
             if name.endswith(".lora.A"):

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, concat
 from .augment import AugmentConfig, add_noise_snr, make_noise_source, mixup_batch, speed_perturb
 from .checkpoint import CheckpointMeta, save_checkpoint
-from .datapipe import FeatureStore, stack_padded
+from .datapipe import FeatureStore, length_groups, stack_padded
 from .errors import ConfigError, DataError
 from .evaluation import predict
 from .labels import NUM_CLASSES
@@ -123,11 +123,27 @@ def _prepare_features(record, store: FeatureStore, cfg: TrainConfig,
 
 def compute_batch_loss(model, features_batch, lengths, cat_targets, dim_targets,
                        loss_cfg: LossConfig):
-    """Forward a padded [B, T, D] batch with valid lengths [B]; returns (total, ce, cccl)."""
+    """Forward a padded [B, T, D] batch with valid lengths [B]; returns (total, ce, cccl).
+
+    Rows run in their `length_groups`, each cropped to its longest row, and rejoin in input
+    order before CE and CCC, which couple rows. Rows are independent of batch-mates and
+    padding, so the loss is a whole-batch forward's up to rounding; a one-group batch runs
+    whole.
+    """
     smoothed = smooth_labels(cat_targets, loss_cfg.epsilon_smooth)
-    out = model.forward(features_batch, lengths)
-    ce = weighted_cross_entropy(out.cat_probs, smoothed, loss_cfg.class_weights)
-    cccl = ccc_loss_multi(dim_targets, out.dim_tensor, eps=loss_cfg.eps_ccc)
+    lengths = np.asarray(lengths)
+    groups = length_groups(lengths)
+    if len(groups) == 1:
+        out = model.forward(features_batch, lengths)
+        probs, dims = out.cat_probs, out.dim_tensor
+    else:
+        outs = [model.forward(features_batch[rows, :lengths[rows[-1]]], lengths[rows])
+                for rows in groups]
+        rank = sorted(range(len(lengths)), key=sum(groups, []).__getitem__)  # row -> joined
+        probs = concat([out.cat_probs for out in outs])[rank]
+        dims = concat([out.dim_tensor for out in outs])[rank]
+    ce = weighted_cross_entropy(probs, smoothed, loss_cfg.class_weights)
+    cccl = ccc_loss_multi(dim_targets, dims, eps=loss_cfg.eps_ccc)
     return total_loss(ce, cccl, loss_cfg), ce, cccl
 
 

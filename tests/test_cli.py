@@ -9,6 +9,7 @@ import pytest
 
 from serkit.checkpoint import load_into_model
 from serkit.cli import _load_ensemble, build_parser, main
+from serkit.config import RunConfig
 from serkit.datapipe import (ConsensusConfig, load_record_features, read_manifest, window_split,
                              write_features)
 from serkit.evaluation import predict
@@ -178,6 +179,25 @@ class TestEvalCommand:
         features = [load_record_features(record) for record in records]
         for merged, unmerged in zip(predict([member], features), predict([adapted], features)):
             np.testing.assert_allclose(merged, unmerged, rtol=0, atol=1e-12)
+
+    def test_members_load_without_drawing_an_initialisation(self, tmp_path, datasets,
+                                                            tiny_config, monkeypatch):
+        out = run_train(tmp_path, datasets, tiny_config, "run_nodraw")
+        ck = os.path.join(out, "checkpoints", "epoch_002.serc")
+        args = build_parser().parse_args(["eval", "--config", tiny_config, "--checkpoint", ck,
+                                          "--manifest", datasets["eval"], "--report", "r.csv"])
+        adapted = SERModel(RunConfig.load(tiny_config).model_config(0))
+        load_into_model(ck, adapted)
+        expected = adapted.merge_adapters().state_arrays()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("_load_ensemble drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        _, _, (member,) = _load_ensemble(args)
+        assert member.state_arrays().keys() == expected.keys()
+        for name, array in expected.items():
+            np.testing.assert_array_equal(member.params[name].data, array, err_msg=name)
 
     def test_incompatible_checkpoint_exit_1(self, tmp_path, datasets, tiny_config, capsys):
         out = run_train(tmp_path, datasets, tiny_config, "run_bad")

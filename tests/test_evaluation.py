@@ -7,6 +7,7 @@ import pytest
 
 from serkit import evaluation
 from serkit.datapipe import (
+    GROUP_FRAMES,
     ManifestRecord,
     read_features,
     read_manifest,
@@ -15,7 +16,6 @@ from serkit.datapipe import (
 )
 from serkit.errors import DataError
 from serkit.evaluation import (
-    PREDICT_FRAMES,
     PRIMARY_FOUR,
     ccc_metric,
     ensemble_predict,
@@ -249,7 +249,7 @@ class TestPredict:
     def test_groups_match_per_utterance_forwards_in_input_order(self, monkeypatch):
         """Several groups, one utterance alone past the frame budget, rows in input order."""
         rng = np.random.default_rng(16)
-        lengths = [40, 3, PREDICT_FRAMES + 5, 17, 3, 90, 1, 60, 25, 250, 8]
+        lengths = [40, 3, GROUP_FRAMES + 5, 17, 3, 90, 1, 60, 25, 250, 8]
         features = [rng.normal(size=(n, 8)) for n in lengths]
         models = [small_model(seed=s) for s in (8, 9)]
         groups = []
@@ -258,7 +258,7 @@ class TestPredict:
                             lambda ms, x, n: groups.append(list(n)) or ensemble(ms, x, n))
         probs, dims = predict(models, features)
         # shortest first, while rows x longest <= 1024: 9 x 90 fits, 10 x 250 and 2 x 1029 do not
-        assert groups == [[1, 3, 3, 8, 17, 25, 40, 60, 90], [250], [PREDICT_FRAMES + 5]]
+        assert groups == [[1, 3, 3, 8, 17, 25, 40, 60, 90], [250], [GROUP_FRAMES + 5]]
         assert probs.shape == (len(lengths), 7) and dims.shape == (len(lengths), 3)
         for i, x in enumerate(features):
             outs = [m.forward(x) for m in models]

@@ -95,6 +95,21 @@ class TestLora:
             worst = max(worst, np.max(np.abs(pa.dim_tensor.data - pm.dim_tensor.data)))
         assert worst < 1e-10
 
+    def test_merge_draws_no_initialisation(self, monkeypatch):
+        """The clone's weights all come from the merge: building it makes no generator, so
+        draws nothing that would be thrown away."""
+        model = SERModel(small_config(seed=10))
+        expected = model.merge_adapters().state_arrays()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("merge_adapters drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        merged = model.merge_adapters().state_arrays()
+        assert merged.keys() == expected.keys()
+        for name, array in expected.items():
+            np.testing.assert_array_equal(merged[name], array, err_msg=name)
+
     def test_merge_with_zero_b_gives_base_weights(self):
         model = SERModel(small_config(seed=8))
         merged = model.merge_adapters()

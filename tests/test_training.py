@@ -8,12 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from serkit import datapipe
 from serkit.augment import AugmentConfig, reset_augment_counters, total_augment_count
 from serkit.autodiff import Tensor
 from serkit.checkpoint import load_into_model
 from serkit.config import RunConfig
 from serkit.datapipe import FeatureStore, read_manifest, stack_padded, synth_dataset
 from serkit.errors import DataError, SerkitError
+from serkit.evaluation import predict
 from serkit.losses import DimTargets, LossConfig
 from serkit.model import SERModel
 from serkit.optim import OptimizerConfig
@@ -322,3 +324,82 @@ class TestBatchLoss:
         for name, grad in grads.items():
             np.testing.assert_allclose(padded_grads[name], grad, rtol=0, atol=1e-12,
                                        err_msg=name)
+
+
+def adapted_default_model():
+    """The default model with random LoRA B, so every trainable parameter gets a gradient."""
+    model = SERModel(RunConfig().model_config(0))
+    for name, b in model.params.items():
+        if name.endswith(".lora.B"):
+            b.data = np.random.default_rng(1).normal(0.0, 0.1, size=b.data.shape)
+    return model
+
+
+def loss_and_grads(model, *batch):
+    model.zero_grad()
+    loss, _, _ = compute_batch_loss(model, *batch, LossConfig())
+    loss.backward()
+    return loss.item(), {name: t.grad.copy() for name, t in model.trainable_parameters().items()}
+
+
+class TestGroupedStep:
+    """A batch whose rows x longest passes GROUP_FRAMES runs in several length groups."""
+
+    LENGTHS = (40, 400, 120, 77, 250, 300, 55, 180)
+
+    def batch(self, extra_frames=0):
+        rng = np.random.default_rng(3)
+        features, lengths = stack_padded([rng.normal(size=(n, 16)) for n in self.LENGTHS])
+        features = np.concatenate([features, np.zeros((len(lengths), extra_frames, 16))], axis=1)
+        dims = DimTargets(values=rng.uniform(0, 1, size=(len(lengths), 3)),
+                          present_mask=np.arange(len(lengths)) % 4 != 1)
+        return features, lengths, np.eye(7)[rng.integers(0, 7, size=len(lengths))], dims
+
+    def test_loss_and_gradients_match_one_group(self, monkeypatch):
+        """Rows do not depend on batch-mates, so the loss is the one-group loss (bit for bit on
+        this batch; in general a padded length can move a row's frame sums by an ulp), and
+        only the order in which parameter gradients sum changes."""
+        model = adapted_default_model()
+        calls = []
+        forward = SERModel.forward
+        monkeypatch.setattr(SERModel, "forward",
+                            lambda self, x, n: calls.append(x.shape[:2]) or forward(self, x, n))
+        loss, grads = loss_and_grads(model, *self.batch())
+        assert calls == [(5, 180), (2, 300), (1, 400)]
+        monkeypatch.setattr(datapipe, "GROUP_FRAMES", 10 ** 6)
+        one_loss, one_grads = loss_and_grads(model, *self.batch())
+        assert calls[3:] == [(8, 400)]
+        assert abs(loss - one_loss) <= 1e-15 * one_loss
+        for name, grad in one_grads.items():
+            assert np.max(np.abs(grads[name] - grad)) <= 1e-12 * np.max(np.abs(grad)), name
+
+    def test_extra_padding_changes_neither_loss_nor_gradients(self):
+        """Each group is cropped to its longest row, so trailing padding never reaches one."""
+        model = adapted_default_model()
+        loss, grads = loss_and_grads(model, *self.batch())
+        padded_loss, padded_grads = loss_and_grads(model, *self.batch(extra_frames=30))
+        assert loss == padded_loss
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(padded_grads[name], grad, err_msg=name)
+
+    def test_at_most_180_linked_nodes_per_group(self):
+        loss, _, _ = compute_batch_loss(SERModel(RunConfig().model_config(0)), *self.batch(),
+                                        LossConfig())
+        assert len(linked_nodes(loss)) <= 180 * 3
+
+
+def test_predict_and_the_train_step_share_one_grouping_rule(monkeypatch):
+    """Both split at datapipe.GROUP_FRAMES: with it at 64, lengths 10-40 form three groups."""
+    monkeypatch.setattr(datapipe, "GROUP_FRAMES", 64)
+    model = tiny_model(seed=2)
+    rng = np.random.default_rng(4)
+    features = [rng.normal(size=(n, 8)) for n in (10, 30, 20, 40, 15)]
+    calls = []
+    forward = SERModel.forward
+    monkeypatch.setattr(SERModel, "forward",
+                        lambda self, x, n: calls.append(np.shape(x)[:2]) or forward(self, x, n))
+    predict([model], features)
+    predict_calls, calls[:] = list(calls), []
+    dims = DimTargets(values=rng.uniform(0, 1, size=(5, 3)), present_mask=np.ones(5, bool))
+    compute_batch_loss(model, *stack_padded(features), np.eye(7)[:5], dims, LossConfig())
+    assert predict_calls == calls == [(3, 20), (1, 30), (1, 40)]
