@@ -760,15 +760,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     return Tensor._make(merge(out), (q, k, v), "attention", backward)
 
 
-def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function, elementwise.
-
-    The oracle gradient path: independent of the reverse-mode engine.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return finite_difference_sample(f, x, range(x.size), h=h).reshape(x.shape)
-
-
 def finite_difference_sample(f, x: np.ndarray, indices, h: float = 1e-5) -> np.ndarray:
     """Central differences at a subset of flat indices (for large tensors)."""
     if h <= 0:

@@ -3,70 +3,51 @@
 Every training-recipe constant (loss coefficients, label smoothing, warmup
 ratio, MixUp settings, speed factors, batch size, epoch cap, per-group
 learning rates and decays) is the default of the dataclass field it sets.
-`KEYS` maps every config key but `eval.merge_cap_s` (the datapipe's
-`MERGE_CAP_S`) to that field, and `DEFAULTS` is read from the fields.
-Config files are `key = value` lines with `#` comments; CLI --set
-overrides win over the file. Unknown keys are rejected, and the effective
-config echoes into the run directory so a run can be reproduced from its
-own artifacts.
+The fields are the schema: field `name` of a section's dataclass is the key
+`section.name`, with the exceptions in `EXCEPTIONS`, and `DEFAULTS` is read
+from the fields. `eval.merge_cap_s` (the datapipe's `MERGE_CAP_S`) is the one
+key without a field. Config files are `key = value` lines with `#` comments;
+CLI --set overrides win over the file. Unknown keys are rejected, and the
+effective config echoes into the run directory so a run can be reproduced
+from its own artifacts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 from .augment import AugmentConfig
 from .datapipe import MERGE_CAP_S, text_lines
 from .errors import ConfigError
 from .losses import LossConfig
-from .model import EcapaConfig, EncoderStubConfig, LoraConfig, ModelConfig, PoolingConfig
+from .model import ModelConfig
 from .optim import OptimizerConfig
 from .training import TrainConfig
 
-# Config key -> (dataclass, field name); the key's default is the field's.
-KEYS = {
-    "model.feature_dim": (ModelConfig, "feature_dim"),
-    "model.encoder_layers": (EncoderStubConfig, "num_layers"),
-    "model.encoder_dim": (EncoderStubConfig, "model_dim"),
-    "model.encoder_heads": (EncoderStubConfig, "num_heads"),
-    "model.encoder_ff": (EncoderStubConfig, "ff_dim"),
-    "model.lora_rank": (LoraConfig, "rank"),
-    "model.lora_alpha": (LoraConfig, "alpha"),
-    "model.pool_scales": (PoolingConfig, "scales"),
-    "model.pool_attention_hidden": (PoolingConfig, "attention_hidden"),
-    "model.ecapa_channels": (EcapaConfig, "channels"),
-    "model.ecapa_dilations": (EcapaConfig, "dilations"),
-    "model.ecapa_res2_scale": (EcapaConfig, "res2_scale"),
-    "model.ecapa_gn_groups": (EcapaConfig, "gn_groups"),
-    "model.ecapa_se_bottleneck": (EcapaConfig, "se_bottleneck"),
-    "model.ecapa_kernel": (EcapaConfig, "kernel_size"),
-    "model.ecapa_stats_attention_hidden": (EcapaConfig, "stats_attention_hidden"),
-    "loss.lambda_cat": (LossConfig, "lambda_cat"),
-    "loss.lambda_dim": (LossConfig, "lambda_dim"),
-    "loss.epsilon_smooth": (LossConfig, "epsilon_smooth"),
-    "loss.eps_ccc": (LossConfig, "eps_ccc"),
-    "optim.backbone_lr": (OptimizerConfig, "backbone_lr"),
-    "optim.backbone_weight_decay": (OptimizerConfig, "backbone_weight_decay"),
-    "optim.downstream_lr": (OptimizerConfig, "downstream_lr"),
-    "optim.downstream_weight_decay": (OptimizerConfig, "downstream_weight_decay"),
-    "optim.beta1": (OptimizerConfig, "beta1"),
-    "optim.beta2": (OptimizerConfig, "beta2"),
-    "optim.eps": (OptimizerConfig, "eps"),
-    "schedule.warmup_ratio": (TrainConfig, "warmup_ratio"),
-    "schedule.min_lr_factor": (TrainConfig, "min_lr_factor"),
-    "train.epochs": (TrainConfig, "epochs"),
-    "train.batch_size": (TrainConfig, "batch_size"),
-    "train.patience": (TrainConfig, "patience"),
-    "train.max_frames": (TrainConfig, "max_frames"),
-    "augment.mixup_prob": (AugmentConfig, "mixup_prob"),
-    "augment.mixup_alpha": (AugmentConfig, "mixup_alpha"),
-    "augment.speed_factors": (AugmentConfig, "speed_factors"),
-    "augment.noise_snr_db": (AugmentConfig, "noise_snr_db"),
-    "augment.enable_mixup": (AugmentConfig, "enable_mixup"),
-    "augment.enable_noise": (AugmentConfig, "enable_noise"),
-    "augment.enable_speed": (AugmentConfig, "enable_speed"),
-    "augment.noise_dir": (AugmentConfig, "noise_dir"),
-}
+# Config section -> the dataclass whose fields are its keys.
+SECTIONS = {"model": ModelConfig, "loss": LossConfig, "optim": OptimizerConfig,
+            "train": TrainConfig, "augment": AugmentConfig}
+# Fields whose key is not `section.field`; None marks a field that no key sets
+# (the seeds come from --seed, the class weights from the training manifest).
+EXCEPTIONS = {"model.seed": None, "train.seed": None, "loss.class_weights": None,
+              "train.warmup_ratio": "schedule.warmup_ratio",
+              "train.min_lr_factor": "schedule.min_lr_factor"}
+
+
+def _keys() -> dict:
+    """Config key -> (dataclass, field name); the key's default is the field's."""
+    keys = {}
+    for section, cls in SECTIONS.items():
+        for field in dataclasses.fields(cls):
+            name = f"{section}.{field.name}"
+            key = EXCEPTIONS.get(name, name)
+            if key is not None:
+                keys[key] = (cls, field.name)
+    return keys
+
+
+KEYS = _keys()
 
 
 def _default_text(value):
@@ -127,24 +108,22 @@ class RunConfig:
 
     @staticmethod
     def load(config_path: str | None = None, overrides: list | None = None) -> "RunConfig":
-        cfg = RunConfig()
+        """Defaults, then the file's `key = value` lines, then the --set `key=value` pairs."""
+        pairs = []  # (key=value text, where it came from: "path:line: ", or "" for --set)
         if config_path:
             for line_no, line in text_lines(config_path, ConfigError):
-                stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{config_path}:{line_no}: expected key = value")
-                key, raw = (part.strip() for part in stripped.split("=", 1))
-                if key not in DEFAULTS:
-                    raise ConfigError(f"{config_path}:{line_no}: unknown config key {key!r}")
-                cfg.values[key] = _coerce(key, raw)
-        for item in overrides or []:
-            if "=" not in item:
-                raise ConfigError(f"override {item!r} must be key=value")
-            key, raw = (part.strip() for part in item.split("=", 1))
+                text = line.split("#", 1)[0].strip()
+                if text:
+                    pairs.append((text, f"{config_path}:{line_no}: "))
+        pairs += [(item, "") for item in overrides or []]
+        cfg = RunConfig()
+        for text, where in pairs:
+            if "=" not in text:
+                raise ConfigError(f"{where}expected key = value" if where
+                                  else f"override {text!r} must be key=value")
+            key, raw = (part.strip() for part in text.split("=", 1))
             if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"{where}unknown config key {key!r}")
             cfg.values[key] = _coerce(key, raw)
         return cfg
 
@@ -183,9 +162,7 @@ class RunConfig:
         return cls(**extra)
 
     def model_config(self, seed: int) -> ModelConfig:
-        return self._build(ModelConfig, seed=seed, encoder=self._build(EncoderStubConfig),
-                           lora=self._build(LoraConfig), pooling=self._build(PoolingConfig),
-                           ecapa=self._build(EcapaConfig))
+        return self._build(ModelConfig, seed=seed)
 
     def loss_config(self) -> LossConfig:
         return self._build(LossConfig)

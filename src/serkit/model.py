@@ -9,7 +9,8 @@ hierarchical attention pooling -> 7-way softmax head and 3-way sigmoid head.
 
 Every stage that mixes frames (attention keys, dilated convs, GroupNorm and
 SE statistics, both poolings) is limited to each utterance's own length, so
-an utterance's prediction does not depend on its batch-mates or on padding.
+an utterance's prediction does not depend on its batch-mates or on padding,
+up to rounding in the last bits; tests hold rows to 1e-12.
 
 The encoder carries no positional encoding: order information enters the
 network only through convolution kernels wider than one frame, which keeps
@@ -21,9 +22,8 @@ that doubles as the checkpoint schema.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,101 +43,62 @@ from .labels import NUM_CLASSES
 
 # -- configuration ---------------------------------------------------------
 
-
-def _check_sizes(what: str, cfg, *names: str) -> None:
-    """Each named field of `cfg` must be a size >= 1."""
-    for name in names:
-        if not getattr(cfg, name) >= 1:
-            raise ConfigError(f"{what} {name} must be >= 1, got {getattr(cfg, name)}")
-
-
-@dataclass
-class EncoderStubConfig:
-    num_layers: int = 2
-    model_dim: int = 32
-    num_heads: int = 4
-    ff_dim: int = 64
-
-    def __post_init__(self):
-        _check_sizes("encoder", self, "num_layers", "model_dim", "num_heads", "ff_dim")
-        if self.model_dim % self.num_heads != 0:
-            raise ConfigError(
-                f"encoder model_dim {self.model_dim} not divisible by {self.num_heads} heads"
-            )
-
-
-@dataclass
-class LoraConfig:
-    rank: int = 4
-    alpha: float = 8.0
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ConfigError(f"LoRA rank must be >= 0, got {self.rank}")
-        if not math.isfinite(self.alpha):
-            raise ConfigError(f"LoRA alpha must be finite, got {self.alpha}")
-
-    @property
-    def enabled(self) -> bool:
-        return self.rank > 0
-
-
-@dataclass
-class PoolingConfig:
-    scales: tuple = (1, 4, 16)
-    attention_hidden: int = 32
-
-    def __post_init__(self):
-        self.scales = tuple(int(s) for s in self.scales)
-        if not self.scales or self.scales[0] != 1:
-            raise ConfigError("pooling scales must start with 1")
-        if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
-            raise ConfigError(f"pooling scales must be strictly increasing, got {self.scales}")
-        _check_sizes("pooling", self, "attention_hidden")
-
-
-@dataclass
-class EcapaConfig:
-    channels: int = 64
-    dilations: tuple = (2, 3, 4)
-    res2_scale: int = 4
-    gn_groups: int = 8
-    se_bottleneck: int = 16
-    kernel_size: int = 3
-    gn_eps: float = 1e-5
-    stats_attention_hidden: int = 32
-
-    def __post_init__(self):
-        self.dilations = tuple(int(d) for d in self.dilations)
-        _check_sizes("ECAPA", self, "channels", "res2_scale", "gn_groups", "se_bottleneck",
-                     "kernel_size", "stats_attention_hidden")
-        if not self.dilations or min(self.dilations) < 1:
-            raise ConfigError(f"ECAPA dilations must be values >= 1, got {self.dilations}")
-        if self.channels % self.gn_groups != 0:
-            raise ConfigError(
-                f"ECAPA channels {self.channels} not divisible by {self.gn_groups} GroupNorm groups"
-            )
-        if self.channels % self.res2_scale != 0:
-            raise ConfigError(
-                f"ECAPA channels {self.channels} not divisible by Res2 scale {self.res2_scale}"
-            )
-        if self.kernel_size % 2 != 1:
-            raise ConfigError(f"ECAPA kernel size must be odd, got {self.kernel_size}")
-        if not self.gn_eps > 0:
-            raise ConfigError("GroupNorm eps must be > 0")
+GN_EPS = 1e-5  # GroupNorm epsilon; no config key sets it
 
 
 @dataclass
 class ModelConfig:
+    """The network's geometry: each field but `seed` is the config key `model.<field>`.
+    lora_rank 0 builds no adapters."""
+
     feature_dim: int = 16
     seed: int = 0
-    encoder: EncoderStubConfig = field(default_factory=EncoderStubConfig)
-    lora: LoraConfig = field(default_factory=LoraConfig)
-    pooling: PoolingConfig = field(default_factory=PoolingConfig)
-    ecapa: EcapaConfig = field(default_factory=EcapaConfig)
+    encoder_layers: int = 2
+    encoder_dim: int = 32
+    encoder_heads: int = 4
+    encoder_ff: int = 64
+    lora_rank: int = 4
+    lora_alpha: float = 8.0
+    pool_scales: tuple = (1, 4, 16)
+    pool_attention_hidden: int = 32
+    ecapa_channels: int = 64
+    ecapa_dilations: tuple = (2, 3, 4)
+    ecapa_res2_scale: int = 4
+    ecapa_gn_groups: int = 8
+    ecapa_se_bottleneck: int = 16
+    ecapa_kernel: int = 3
+    ecapa_stats_attention_hidden: int = 32
 
     def __post_init__(self):
-        _check_sizes("model", self, "feature_dim")
+        self.pool_scales = tuple(int(s) for s in self.pool_scales)
+        self.ecapa_dilations = tuple(int(d) for d in self.ecapa_dilations)
+        for name in ("feature_dim", "encoder_layers", "encoder_dim", "encoder_heads",
+                     "encoder_ff", "pool_attention_hidden", "ecapa_channels", "ecapa_res2_scale",
+                     "ecapa_gn_groups", "ecapa_se_bottleneck", "ecapa_kernel",
+                     "ecapa_stats_attention_hidden"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
+        if self.encoder_dim % self.encoder_heads != 0:
+            raise ConfigError(f"model.encoder_dim {self.encoder_dim} not divisible by "
+                              f"model.encoder_heads {self.encoder_heads}")
+        if self.lora_rank < 0:
+            raise ConfigError(f"model.lora_rank must be >= 0, got {self.lora_rank}")
+        if not math.isfinite(self.lora_alpha):
+            raise ConfigError(f"model.lora_alpha must be finite, got {self.lora_alpha}")
+        scales = self.pool_scales
+        if not scales or scales[0] != 1:
+            raise ConfigError(f"model.pool_scales must start with 1, got {scales}")
+        if any(b <= a for a, b in zip(scales, scales[1:])):
+            raise ConfigError(f"model.pool_scales must be strictly increasing, got {scales}")
+        if not self.ecapa_dilations or min(self.ecapa_dilations) < 1:
+            raise ConfigError(f"model.ecapa_dilations must be values >= 1, "
+                              f"got {self.ecapa_dilations}")
+        for divisor in ("ecapa_gn_groups", "ecapa_res2_scale"):
+            if self.ecapa_channels % getattr(self, divisor) != 0:
+                raise ConfigError(f"model.ecapa_channels {self.ecapa_channels} not divisible "
+                                  f"by model.{divisor} {getattr(self, divisor)}")
+        if self.ecapa_kernel % 2 != 1:
+            raise ConfigError(f"model.ecapa_kernel must be odd, got {self.ecapa_kernel}")
 
 
 # -- outputs ---------------------------------------------------------------
@@ -176,7 +137,7 @@ def additive_attention(seq: Tensor, w: Tensor, b: Tensor, v: Tensor, lengths=Non
     return summary.reshape(summary.shape[:-2] + (seq.shape[-1],))
 
 
-def multiscale_hierarchical_pool(hidden: Tensor, cfg: PoolingConfig,
+def multiscale_hierarchical_pool(hidden: Tensor, scales: tuple,
                                  scale_attn: tuple, hier_attn: tuple, lengths=None) -> Tensor:
     """Multiscale + hierarchical attention pooling of [..., T, d] into [..., d].
 
@@ -191,7 +152,7 @@ def multiscale_hierarchical_pool(hidden: Tensor, cfg: PoolingConfig,
     if t == 0:
         raise ShapeError("multiscale pooling on empty input (T=0)")
     summaries = []
-    for scale in cfg.scales:
+    for scale in scales:
         if scale == 1:  # the window matrix would be the identity
             windowed, windows = hidden, lengths
         else:
@@ -256,11 +217,11 @@ class SERModel:
         return self._normal(rng, 1.0 / math.sqrt(fan_in), (fan_out, fan_in))
 
     def _build_encoder(self, rng):
-        enc = self.cfg.encoder
-        d, din = enc.model_dim, self.cfg.feature_dim
+        cfg = self.cfg
+        d, din = cfg.encoder_dim, cfg.feature_dim
         self._add("encoder.in_proj.weight", self._linear_init(rng, d, din), False)
         self._add("encoder.in_proj.bias", np.zeros(d), False)
-        for i in range(enc.num_layers):
+        for i in range(cfg.encoder_layers):
             p = f"encoder.layer{i}"
             self._add(f"{p}.ln1.gamma", np.ones(d), False)
             self._add(f"{p}.ln1.beta", np.zeros(d), False)
@@ -271,19 +232,19 @@ class SERModel:
             self._add(f"{p}.attn.out.bias", np.zeros(d), False)
             self._add(f"{p}.ln2.gamma", np.ones(d), False)
             self._add(f"{p}.ln2.beta", np.zeros(d), False)
-            self._add(f"{p}.ff.w1.weight", self._linear_init(rng, enc.ff_dim, d), False)
-            self._add(f"{p}.ff.w1.bias", np.zeros(enc.ff_dim), False)
-            self._add(f"{p}.ff.w2.weight", self._linear_init(rng, d, enc.ff_dim), False)
+            self._add(f"{p}.ff.w1.weight", self._linear_init(rng, cfg.encoder_ff, d), False)
+            self._add(f"{p}.ff.w1.bias", np.zeros(cfg.encoder_ff), False)
+            self._add(f"{p}.ff.w2.weight", self._linear_init(rng, d, cfg.encoder_ff), False)
             self._add(f"{p}.ff.w2.bias", np.zeros(d), False)
         self._add("encoder.ln_out.gamma", np.ones(d), False)
         self._add("encoder.ln_out.beta", np.zeros(d), False)
 
     def _build_lora(self, rng):
-        if not self.cfg.lora.enabled:
+        r = self.cfg.lora_rank
+        if r == 0:
             return
-        r = self.cfg.lora.rank
-        d = self.cfg.encoder.model_dim
-        for i in range(self.cfg.encoder.num_layers):
+        d = self.cfg.encoder_dim
+        for i in range(self.cfg.encoder_layers):
             for proj in ("q", "k", "v"):
                 prefix = f"encoder.layer{i}.attn.{proj}"
                 self._add(f"{prefix}.lora.A", self._normal(rng, 0.02, (r, d)), True)
@@ -297,48 +258,48 @@ class SERModel:
         self._add(f"{prefix}.beta", np.zeros(channels), True)
 
     def _build_ecapa(self, rng):
-        e = self.cfg.ecapa
-        c, k = e.channels, e.kernel_size
-        d = self.cfg.encoder.model_dim
+        cfg = self.cfg
+        c, k, d = cfg.ecapa_channels, cfg.ecapa_kernel, cfg.encoder_dim
+        se = cfg.ecapa_se_bottleneck
         self._add("ecapa.input.conv.weight", self._conv_init(rng, c, d, k), True)
         self._add("ecapa.input.conv.bias", np.zeros(c), True)
         self._add_gn("ecapa.input.gn", c)
-        width = c // e.res2_scale
-        for i, _dil in enumerate(e.dilations):
+        width = c // cfg.ecapa_res2_scale
+        for i, _dil in enumerate(cfg.ecapa_dilations):
             p = f"ecapa.block{i}"
             self._add(f"{p}.conv1.weight", self._conv_init(rng, c, c, 1), True)
             self._add(f"{p}.conv1.bias", np.zeros(c), True)
             self._add_gn(f"{p}.gn1", c)
-            for j in range(1, e.res2_scale):
+            for j in range(1, cfg.ecapa_res2_scale):
                 self._add(f"{p}.res2.conv{j}.weight", self._conv_init(rng, width, width, k), True)
                 self._add(f"{p}.res2.conv{j}.bias", np.zeros(width), True)
             self._add_gn(f"{p}.gn2", c)
             self._add(f"{p}.conv3.weight", self._conv_init(rng, c, c, 1), True)
             self._add(f"{p}.conv3.bias", np.zeros(c), True)
             self._add_gn(f"{p}.gn3", c)
-            self._add(f"{p}.se.fc1.weight", self._linear_init(rng, e.se_bottleneck, c), True)
-            self._add(f"{p}.se.fc1.bias", np.zeros(e.se_bottleneck), True)
-            self._add(f"{p}.se.fc2.weight", self._linear_init(rng, c, e.se_bottleneck), True)
+            self._add(f"{p}.se.fc1.weight", self._linear_init(rng, se, c), True)
+            self._add(f"{p}.se.fc1.bias", np.zeros(se), True)
+            self._add(f"{p}.se.fc2.weight", self._linear_init(rng, c, se), True)
             self._add(f"{p}.se.fc2.bias", np.zeros(c), True)
-        n_blocks = len(e.dilations)
+        n_blocks = len(cfg.ecapa_dilations)
         self._add("ecapa.mfa.conv.weight", self._conv_init(rng, c, n_blocks * c, 1), True)
         self._add("ecapa.mfa.conv.bias", np.zeros(c), True)
         self._add_gn("ecapa.mfa.gn", c)
-        h = e.stats_attention_hidden
+        h = cfg.ecapa_stats_attention_hidden
         self._add("ecapa.stats.attn.W", self._linear_init(rng, h, c), True)
         self._add("ecapa.stats.attn.b", np.zeros(h), True)
         self._add("ecapa.stats.attn.v", self._normal(rng, 1.0 / math.sqrt(h), h), True)
 
     def _build_pooling(self, rng):
-        c = self.cfg.ecapa.channels
-        h = self.cfg.pooling.attention_hidden
+        c = self.cfg.ecapa_channels
+        h = self.cfg.pool_attention_hidden
         for name in ("pool.scale_attn", "pool.hier_attn"):
             self._add(f"{name}.W", self._linear_init(rng, h, c), True)
             self._add(f"{name}.b", np.zeros(h), True)
             self._add(f"{name}.v", self._normal(rng, 1.0 / math.sqrt(h), h), True)
 
     def _build_heads(self, rng):
-        c = self.cfg.ecapa.channels
+        c = self.cfg.ecapa_channels
         pooled_dim = 3 * c  # attentive stats (2C) + multiscale summary (C)
         self._add("head.cat.weight", self._linear_init(rng, NUM_CLASSES, pooled_dim), True)
         self._add("head.cat.bias", np.zeros(NUM_CLASSES), True)
@@ -383,7 +344,7 @@ class SERModel:
         """The projection `prefix`, with its LoRA adapter (`prefix`.lora.A/B) if it has one."""
         a = self.params.get(f"{prefix}.lora.A")
         lora = None if a is None else (a, self.params[f"{prefix}.lora.B"],
-                                       self.cfg.lora.alpha / self.cfg.lora.rank)
+                                       self.cfg.lora_alpha / self.cfg.lora_rank)
         return linear(x, self.params[f"{prefix}.weight"], self.params[f"{prefix}.bias"], lora)
 
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
@@ -393,7 +354,7 @@ class SERModel:
         q = self._linear(x, f"{prefix}.q")
         k = self._linear(x, f"{prefix}.k")
         v = self._linear(x, f"{prefix}.v")
-        heads = multi_head_attention(q, k, v, self.cfg.encoder.num_heads, lengths)
+        heads = multi_head_attention(q, k, v, self.cfg.encoder_heads, lengths)
         return self._linear(heads, f"{prefix}.out")
 
     def encoder_forward(self, features: Tensor, lengths=None) -> Tensor:
@@ -408,7 +369,7 @@ class SERModel:
                 f"feature dim {din} does not match configured {self.cfg.feature_dim}"
             )
         h = self._linear(features, "encoder.in_proj")
-        for i in range(self.cfg.encoder.num_layers):
+        for i in range(self.cfg.encoder_layers):
             p = f"encoder.layer{i}"
             h = h + self._attention(self._layer_norm(h, f"{p}.ln1"), f"{p}.attn", lengths)
             n = self._layer_norm(h, f"{p}.ln2")
@@ -421,22 +382,21 @@ class SERModel:
                               dilation=dilation, lengths=lengths)
 
     def _group_norm(self, x: Tensor, prefix: str, lengths=None, relu: bool = True) -> Tensor:
-        e = self.cfg.ecapa
-        return group_norm(x, e.gn_groups, self.params[f"{prefix}.gamma"],
-                          self.params[f"{prefix}.beta"], eps=e.gn_eps, lengths=lengths, relu=relu)
+        return group_norm(x, self.cfg.ecapa_gn_groups, self.params[f"{prefix}.gamma"],
+                          self.params[f"{prefix}.beta"], eps=GN_EPS, lengths=lengths, relu=relu)
 
     def ecapa_block_forward(self, x: Tensor, block_index: int, lengths=None) -> Tensor:
         """SE-Res2 block over [..., C, T]: 1x1 conv, Res2 dilated convs, 1x1 conv, SE gate,
         residual."""
-        e = self.cfg.ecapa
+        cfg = self.cfg
         p = f"ecapa.block{block_index}"
-        dilation = e.dilations[block_index]
-        width = e.channels // e.res2_scale
+        dilation = cfg.ecapa_dilations[block_index]
+        width = cfg.ecapa_channels // cfg.ecapa_res2_scale
 
         out = self._group_norm(self._conv(x, f"{p}.conv1"), f"{p}.gn1", lengths)
         # Res2 split: first chunk passes through, the rest get dilated convs.
         chunks = [out[..., 0:width, :]]
-        for j in range(1, e.res2_scale):
+        for j in range(1, cfg.ecapa_res2_scale):
             chunks.append(self._conv(out[..., j * width:(j + 1) * width, :],
                                      f"{p}.res2.conv{j}", dilation, lengths))
         out = self._group_norm(concat(chunks, axis=-2), f"{p}.gn2", lengths)
@@ -455,7 +415,7 @@ class SERModel:
         x = self._conv(hidden.T, "ecapa.input.conv", lengths=lengths)
         x = self._group_norm(x, "ecapa.input.gn", lengths)
         block_outs = []
-        for i in range(len(self.cfg.ecapa.dilations)):
+        for i in range(len(self.cfg.ecapa_dilations)):
             x = self.ecapa_block_forward(x, i, lengths)
             block_outs.append(x)
         x = self._conv(concat(block_outs, axis=-2), "ecapa.mfa.conv")
@@ -470,7 +430,7 @@ class SERModel:
         frames = self.ecapa_forward(hidden, lengths)            # [..., C, T]
         stats = attentive_stats_pool(frames, *self._pool_params("ecapa.stats.attn"),
                                      lengths=lengths)
-        summary = multiscale_hierarchical_pool(frames.T, self.cfg.pooling,
+        summary = multiscale_hierarchical_pool(frames.T, self.cfg.pool_scales,
                                                self._pool_params("pool.scale_attn"),
                                                self._pool_params("pool.hier_attn"), lengths)
         return concat([stats, summary], axis=-1)
@@ -480,7 +440,8 @@ class SERModel:
         valid lengths [B] -> [B, 7]/[B, 3] fields; lengths=None means every frame.
 
         Row b reads only its first lengths[b] frames, so it equals the forward of
-        the unpadded utterance whatever the padding or batch-mates.
+        the unpadded utterance whatever the padding or batch-mates, up to rounding
+        in the last bits; tests hold rows to 1e-12.
         """
         if not isinstance(features, Tensor):
             features = Tensor(np.asarray(features, dtype=np.float64))
@@ -510,14 +471,13 @@ class SERModel:
     def merge_adapters(self) -> "SERModel":
         """Adapter-free clone: each projection with `prefix`.lora.A/B gets the weight
         W + (alpha/rank) * B @ A (Hu et al., arXiv:2106.09685)."""
-        merged = SERModel(replace(copy.deepcopy(self.cfg), lora=replace(self.cfg.lora, rank=0)),
-                          draw=False)
+        merged = SERModel(replace(self.cfg, lora_rank=0), draw=False)
         state = {name: t.data for name, t in self.params.items() if ".lora." not in name}
         for name, a in self.params.items():
             if name.endswith(".lora.A"):
                 prefix = name[:-len(".lora.A")]
                 update = self.params[f"{prefix}.lora.B"].data @ a.data
-                scale = self.cfg.lora.alpha / self.cfg.lora.rank
+                scale = self.cfg.lora_alpha / self.cfg.lora_rank
                 state[f"{prefix}.weight"] = state[f"{prefix}.weight"] + scale * update
         merged.load_state(state)
         return merged

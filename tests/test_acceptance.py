@@ -42,7 +42,7 @@ from serkit.evaluation import (
 )
 from serkit.labels import EMOTIONS, EmotionLabel
 from serkit.losses import DimTargets, LossConfig, ccc, smooth_labels, weighted_cross_entropy
-from serkit.model import LoraConfig, ModelConfig, SERModel
+from serkit.model import ModelConfig, SERModel
 from serkit.optim import AdamWGroups, OptimizerConfig, ScheduleConfig, cosine_warmup_lr
 from serkit.training import TrainConfig, train_loop
 from serkit.autodiff import Tensor
@@ -102,7 +102,7 @@ def test_lora_contract():
         rng = np.random.default_rng(1)
         cfg = ModelConfig(feature_dim=16, seed=11)
         adapted = SERModel(cfg)
-        plain = SERModel(ModelConfig(feature_dim=16, seed=11, lora=LoraConfig(rank=0)))
+        plain = SERModel(ModelConfig(feature_dim=16, seed=11, lora_rank=0))
 
         # Zero-init B reproduces the adapter-free forward within 1e-12
         for _ in range(5):

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from serkit.autodiff import Tensor, finite_difference_gradient, relative_error
+from serkit.autodiff import Tensor, relative_error
 from serkit.errors import ConfigError, ShapeError
 from serkit.model import (
-    EcapaConfig,
-    EncoderStubConfig,
-    LoraConfig,
     ModelConfig,
-    PoolingConfig,
     SERModel,
     _window_matrix,
     attention_weights,
     attentive_stats_pool,
     multiscale_hierarchical_pool,
 )
+from tests.test_autodiff import finite_difference_gradient
 
 
 def small_config(seed=0, **kwargs) -> ModelConfig:
@@ -26,11 +23,11 @@ def small_config(seed=0, **kwargs) -> ModelConfig:
     base = dict(
         feature_dim=8,
         seed=seed,
-        encoder=EncoderStubConfig(num_layers=2, model_dim=16, num_heads=4, ff_dim=24),
-        lora=LoraConfig(rank=2, alpha=4.0),
-        pooling=PoolingConfig(scales=(1, 4), attention_hidden=8),
-        ecapa=EcapaConfig(channels=16, dilations=(2, 3), res2_scale=4, gn_groups=4,
-                          se_bottleneck=4, stats_attention_hidden=8),
+        encoder_layers=2, encoder_dim=16, encoder_heads=4, encoder_ff=24,
+        lora_rank=2, lora_alpha=4.0,
+        pool_scales=(1, 4), pool_attention_hidden=8,
+        ecapa_channels=16, ecapa_dilations=(2, 3), ecapa_res2_scale=4, ecapa_gn_groups=4,
+        ecapa_se_bottleneck=4, ecapa_stats_attention_hidden=8,
     )
     base.update(kwargs)
     return ModelConfig(**base)
@@ -49,7 +46,7 @@ def features():
 class TestLora:
     def test_zero_init_b_is_identity(self, features):
         adapted = SERModel(small_config(seed=1))
-        plain = SERModel(small_config(seed=1, lora=LoraConfig(rank=0)))
+        plain = SERModel(small_config(seed=1, lora_rank=0))
         out_a = adapted.forward(features)
         out_p = plain.forward(features)
         np.testing.assert_allclose(out_a.cat_probs.data, out_p.cat_probs.data, atol=1e-12)
@@ -57,7 +54,7 @@ class TestLora:
 
     def test_zero_init_b_is_exact_identity_on_encoder(self, features):
         adapted = SERModel(small_config(seed=1))
-        plain = SERModel(small_config(seed=1, lora=LoraConfig(rank=0)))
+        plain = SERModel(small_config(seed=1, lora_rank=0))
         ha = adapted.encoder_forward(Tensor(features)).data
         hp = plain.encoder_forward(Tensor(features)).data
         np.testing.assert_array_equal(ha, hp)
@@ -71,7 +68,7 @@ class TestLora:
                 b.data = rng.normal(0.0, 0.1, size=b.data.shape)
                 a.data = rng.normal(0.0, 0.1, size=a.data.shape)
         merged = model.merge_adapters()
-        baseline = SERModel(small_config(seed=3, lora=LoraConfig(rank=0)))
+        baseline = SERModel(small_config(seed=3, lora_rank=0))
 
         out_adapted = model.encoder_forward(Tensor(features)).data
         out_merged = merged.encoder_forward(Tensor(features)).data
@@ -119,7 +116,7 @@ class TestLora:
 
     def test_merged_weight_is_w_plus_scaled_ba(self):
         rng = np.random.default_rng(9)
-        model = SERModel(small_config(seed=9, lora=LoraConfig(rank=2, alpha=3.0)))
+        model = SERModel(small_config(seed=9, lora_rank=2, lora_alpha=3.0))
         for name, b in model.params.items():
             if name.endswith(".lora.B"):
                 b.data = rng.normal(size=b.data.shape)
@@ -162,8 +159,7 @@ class TestMultiscalePooling:
     def test_single_frame_degenerate(self):
         scale_p, hier_p = self._params(3, 4)
         frame = np.array([[0.3, -1.2, 0.8]])
-        cfg = PoolingConfig(scales=(1, 4, 16))
-        out = multiscale_hierarchical_pool(Tensor(frame), cfg, scale_p, hier_p)
+        out = multiscale_hierarchical_pool(Tensor(frame), (1, 4, 16), scale_p, hier_p)
         np.testing.assert_allclose(out.data, frame[0], atol=1e-12)
 
     def test_constant_input_uniform_weights(self):
@@ -180,8 +176,7 @@ class TestMultiscalePooling:
         scale_p, hier_p = self._params(2, 3, seed=11)
         rng = np.random.default_rng(12)
         hidden = rng.normal(size=(8, 2))
-        cfg = PoolingConfig(scales=(1, 4))
-        out = multiscale_hierarchical_pool(Tensor(hidden), cfg, scale_p, hier_p).data
+        out = multiscale_hierarchical_pool(Tensor(hidden), (1, 4), scale_p, hier_p).data
 
         def np_attention(seq, params):
             w, b, v = (p.data for p in params)
@@ -199,23 +194,21 @@ class TestMultiscalePooling:
     def test_remainder_window_kept(self):
         scale_p, hier_p = self._params(2, 3)
         hidden = Tensor(np.arange(10).reshape(5, 2).astype(float))
-        cfg = PoolingConfig(scales=(1, 4))
         windowed = Tensor(_window_matrix(5, 4)[0]) @ hidden
         assert attention_weights(windowed, *scale_p).data.size == 2  # [0:4] + remainder [4:5]
-        out = multiscale_hierarchical_pool(hidden, cfg, scale_p, hier_p)
+        out = multiscale_hierarchical_pool(hidden, (1, 4), scale_p, hier_p)
         assert out.data.shape == (2,)
 
     def test_empty_input_rejected(self):
         scale_p, hier_p = self._params(2, 3)
         with pytest.raises(ShapeError):
-            multiscale_hierarchical_pool(Tensor(np.zeros((0, 2))), PoolingConfig(scales=(1,)),
-                                         scale_p, hier_p)
+            multiscale_hierarchical_pool(Tensor(np.zeros((0, 2))), (1,), scale_p, hier_p)
 
     def test_scale_validation(self):
         with pytest.raises(ConfigError):
-            PoolingConfig(scales=(2, 4))
+            small_config(pool_scales=(2, 4))
         with pytest.raises(ConfigError):
-            PoolingConfig(scales=(1, 4, 4))
+            small_config(pool_scales=(1, 4, 4))
 
 
 class TestAttentiveStatsPool:
@@ -259,20 +252,17 @@ class TestAttentiveStatsPool:
 class TestEcapaBlock:
     def test_shape_preserved_over_grid(self):
         for channels, t, dilations in [(8, 5, (2,)), (16, 12, (2, 3)), (16, 3, (3, 4))]:
-            cfg = small_config(ecapa=EcapaConfig(channels=channels, dilations=dilations,
-                                                 res2_scale=4, gn_groups=4, se_bottleneck=4,
-                                                 stats_attention_hidden=8))
+            cfg = small_config(ecapa_channels=channels, ecapa_dilations=dilations)
             model = SERModel(cfg)
             x = Tensor(np.random.default_rng(1).normal(size=(channels, t)))
             for i in range(len(dilations)):
                 out = model.ecapa_block_forward(x, i)
                 assert out.data.shape == (channels, t)
 
-    def test_identity_construction_doubles_input(self):
+    def test_identity_construction_doubles_input(self, monkeypatch):
         """Identity convs + SE gate forced to ~1 + normalized input => output 2x."""
-        cfg = small_config(ecapa=EcapaConfig(channels=8, dilations=(2,), res2_scale=4,
-                                             gn_groups=2, se_bottleneck=4, gn_eps=1e-30,
-                                             stats_attention_hidden=8))
+        monkeypatch.setattr("serkit.model.GN_EPS", 1e-30)
+        cfg = small_config(ecapa_channels=8, ecapa_dilations=(2,), ecapa_gn_groups=2)
         model = SERModel(cfg)
         width = 2
         p = "ecapa.block0"
@@ -295,9 +285,7 @@ class TestEcapaBlock:
 
     def test_dilated_receptive_field_probe(self):
         """Perturbing frame t only moves outputs within kernel*dilation frames."""
-        cfg = small_config(ecapa=EcapaConfig(channels=8, dilations=(3,), res2_scale=4,
-                                             gn_groups=2, se_bottleneck=4,
-                                             stats_attention_hidden=8))
+        cfg = small_config(ecapa_channels=8, ecapa_dilations=(3,), ecapa_gn_groups=2)
         model = SERModel(cfg)
         p = "ecapa.block0"
         # Neutralize the global paths: SE gate pinned to 1;
@@ -327,9 +315,8 @@ class TestEcapaBlock:
 
     def test_block_gradients_match_finite_differences(self):
         """Cross-check between the two gradient paths on a random ECAPA block."""
-        cfg = small_config(ecapa=EcapaConfig(channels=8, dilations=(2,), res2_scale=2,
-                                             gn_groups=2, se_bottleneck=4,
-                                             stats_attention_hidden=8))
+        cfg = small_config(ecapa_channels=8, ecapa_dilations=(2,), ecapa_res2_scale=2,
+                           ecapa_gn_groups=2)
         model = SERModel(cfg)
         rng = np.random.default_rng(33)
         x0 = rng.normal(size=(8, 6))
@@ -399,12 +386,7 @@ class TestModelForward:
         x = rng.normal(size=(9, 8))
         perm = rng.permutation(9)
 
-        width1 = small_config(
-            seed=16,
-            pooling=PoolingConfig(scales=(1,), attention_hidden=8),
-            ecapa=EcapaConfig(channels=16, dilations=(2, 3), res2_scale=4, gn_groups=4,
-                              se_bottleneck=4, kernel_size=1, stats_attention_hidden=8),
-        )
+        width1 = small_config(seed=16, pool_scales=(1,), ecapa_kernel=1)
         m1 = SERModel(width1)
         out_a = m1.forward(x)
         out_b = m1.forward(x[perm])

@@ -19,7 +19,6 @@ ALLOWED = {
     "reset_augment_counters": "perfbench reads the augmentation counters",
     "total_augment_count": "perfbench reads the augmentation counters",
     "select_top_checkpoints": "ROADMAP item 8 wires it into eval's top-k ensemble",
-    "finite_difference_gradient": "the tests' finite-difference oracle for whole tensors",
 }
 
 # Attributes of these names belong to a library module (np.exp is not Tensor.exp).
