@@ -304,24 +304,19 @@ class Tensor:
         return Tensor._make(out_data, (a,), "sigmoid", backward)
 
     def relu(self):
-        a = self
-        out_data = np.maximum(a.data, 0.0)
-        out_data += 0.0  # -0.0 -> +0.0, so the output equals np.where(x > 0, x, 0.0)
-
-        def backward(g):
-            a._accumulate(g * (out_data > 0))
-
-        return Tensor._make(out_data, (a,), "relu", backward)
+        return self.maximum(0.0)
 
     def maximum(self, floor: float):
-        """Elementwise max(x, floor); grad passes only where x > floor."""
+        """Elementwise max(x, floor); grad passes only where x > floor. The output has 0.0
+        added, so -0.0 comes out +0.0 and relu equals np.where(x > 0, x, 0.0)."""
         a = self
-        mask = a.data > floor
+        out_data = np.maximum(a.data, floor)
+        out_data += 0.0
 
         def backward(g):
-            a._accumulate(g * mask)
+            a._accumulate(g * (out_data > floor))
 
-        return Tensor._make(np.maximum(a.data, floor), (a,), "maximum", backward)
+        return Tensor._make(out_data, (a,), "maximum", backward)
 
     def sum(self, axis=None, keepdims=False):
         a = self
@@ -653,11 +648,13 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     """Scaled dot-product self-attention over [..., T, d] split into `num_heads` heads.
 
     `lengths` ([B]) counts each utterance's valid frames n, a prefix. One
-    node. The (utterance, head) pairs are sorted by n and run in tiles of
-    one n and about BLOCK_ELEMENTS scores (~1 MB), so a tile's scores stay
-    in cache. A tile computes only its [:n, :n] scores: padded query rows
-    come out 0 with no gradient, and each pair's result is bit-identical to
-    its unpadded run whatever its tile-mates. Scores are exponentiated
+    node. A tile is a run of consecutive (utterance, head) pairs of one n
+    and at most about BLOCK_ELEMENTS scores (~1 MB), so its scores stay in
+    cache; rows sorted by length, as `length_groups` gives them, make the
+    fewest tiles. A tile computes only its [:n, :n] scores: padded query
+    rows come out 0 with no gradient, and each pair's result is
+    bit-identical to its unpadded run whatever its tile-mates or the order
+    of the rows. Scores are exponentiated
     unshifted, e = exp(s), and one matmul e @ [v, 1] gives the unnormalised
     [n, d/H] output and its row sums together. A row whose sum is not
     finite or lies outside [1e-280, 1e280] falls back to e = exp(s - max s);
@@ -681,27 +678,23 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                          f"{utterances} x {t} frames")
     if np.any(lengths < 1):
         raise NumericError(f"attention: utterance {np.argmin(lengths)} has no valid frame")
-    # Python's sorts, not np.argsort/np.unique, whose first calls add 0.17/1.6 MB of RSS.
-    order = sorted(range(utterances), key=lengths.__getitem__)     # stable, by length
-    rank = sorted(range(utterances), key=order.__getitem__)        # its inverse
 
-    def split(a, ones=0):  # [..., T, d] -> [N*H, T, d/H] by length, plus `ones` columns of 1
+    def split(a, ones=0):  # [..., T, d] -> [N*H, T, d/H], plus `ones` columns of 1
         heads = np.empty((utterances, num_heads, t, head_dim + ones))
-        heads[rank, ..., :head_dim] = np.swapaxes(a.reshape(-1, t, num_heads, head_dim), 1, 2)
+        heads[..., :head_dim] = np.swapaxes(a.reshape(-1, t, num_heads, head_dim), 1, 2)
         heads[..., head_dim:] = 1.0
         return heads.reshape(-1, t, head_dim + ones)
 
-    def merge(a):      # [N*H, T, d/H] -> [..., T, d], back in utterance order
-        frames = np.empty((utterances, t, num_heads, head_dim))
-        frames[order] = np.swapaxes(a.reshape(-1, num_heads, t, head_dim), 1, 2)
-        return frames.reshape(shape)
+    def merge(a):      # [N*H, T, d/H] -> [..., T, d]
+        return np.swapaxes(a.reshape(-1, num_heads, t, head_dim), 1, 2).reshape(shape)
 
-    tiles = []             # (pairs, n): a slice of the sorted pairs, all of length n
-    pair_lengths = np.repeat(lengths[order], num_heads)
-    for n in sorted(set(lengths.tolist())):
-        lo, hi = np.searchsorted(pair_lengths, [n, n + 1])
+    tiles = []             # (pairs, n): a slice of consecutive pairs, all of length n
+    runs = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), utterances]
+    for lo, hi in zip(runs[:-1], runs[1:]):     # utterances lo..hi-1 share one length n
+        n = int(lengths[lo])
         rows = max(1, BLOCK_ELEMENTS // (n * n))
-        tiles += [(slice(a, min(a + rows, hi)), n) for a in range(lo, hi, rows)]
+        tiles += [(slice(a, min(a + rows, hi * num_heads)), n)
+                  for a in range(lo * num_heads, hi * num_heads, rows)]
     largest = max((blk.stop - blk.start) * n * n for blk, n in tiles)
 
     def scratch(buffer, blk, n):     # a tile's [m, n, n] view of a reused flat buffer

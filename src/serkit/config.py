@@ -80,7 +80,19 @@ def _coerce(key: str, raw: str):
             return float(raw)
         except ValueError:
             raise ConfigError(f"key {key}: expected float, got {raw!r}") from None
+    if isinstance(getattr(*KEYS[key]), tuple):
+        _items(key, raw)    # the config keeps the text; this checks it where it is read
     return raw
+
+
+def _items(key: str, text: str) -> tuple:
+    """A comma-list key's text as a tuple of its field default's element type."""
+    kind = type(getattr(*KEYS[key])[0])
+    try:
+        return tuple(kind(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(f"key {key}: expected comma-separated "
+                          f"{kind.__name__} values, got {text!r}") from None
 
 
 def _format(value) -> str:
@@ -124,7 +136,10 @@ class RunConfig:
             key, raw = (part.strip() for part in text.split("=", 1))
             if key not in DEFAULTS:
                 raise ConfigError(f"{where}unknown config key {key!r}")
-            cfg.values[key] = _coerce(key, raw)
+            try:
+                cfg.values[key] = _coerce(key, raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{where}{exc}") from None
         return cfg
 
     def echo(self) -> str:
@@ -141,24 +156,12 @@ class RunConfig:
     # -- dataclass builders --
 
     def _build(self, cls, **extra):
-        """`cls` with every field that KEYS maps a key onto taken from this config.
-
-        A tuple field's text is split on commas and each part parsed with the
-        type of the default's elements.
-        """
+        """`cls` with every field that KEYS maps a key onto taken from this config; a tuple
+        field's text is split on commas into its default's element type."""
         for key, (owner, name) in KEYS.items():
-            if owner is not cls:
-                continue
-            value = self.values[key]
-            default = getattr(cls, name)
-            if isinstance(default, tuple):
-                kind = type(default[0])
-                try:
-                    value = tuple(kind(part) for part in str(value).split(",") if part.strip())
-                except ValueError:
-                    raise ConfigError(f"key {key}: expected comma-separated "
-                                      f"{kind.__name__} values, got {value!r}") from None
-            extra[name] = value
+            if owner is cls:
+                value = self.values[key]
+                extra[name] = _items(key, value) if isinstance(getattr(cls, name), tuple) else value
         return cls(**extra)
 
     def model_config(self, seed: int) -> ModelConfig:

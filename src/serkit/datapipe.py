@@ -272,17 +272,18 @@ def check_feature_width(record: ManifestRecord, features: np.ndarray,
 
 class FeatureStore:
     """Tiny read-through cache for repeated epoch passes over one manifest, whose files
-    must all hold `feature_dim` values per frame."""
+    must all hold `feature_dim` values per frame; `max_frames` > 0 keeps only that many."""
 
-    def __init__(self, feature_dim: int):
+    def __init__(self, feature_dim: int, max_frames: int = 0):
         self._feature_dim = feature_dim
+        self._max_frames = max_frames or None
         self._cache: dict = {}
 
     def get(self, record: ManifestRecord) -> np.ndarray:
         cached = self._cache.get(record.id)
         if cached is None:
             cached = check_feature_width(record, load_record_features(record), self._feature_dim)
-            self._cache[record.id] = cached
+            cached = self._cache[record.id] = cached[:self._max_frames]
         return cached
 
 

@@ -109,8 +109,6 @@ def _sample_rng(seed: int, epoch: int, utterance_id: str) -> np.random.Generator
 def _prepare_features(record, store: FeatureStore, cfg: TrainConfig,
                       augment: AugmentConfig, noise_source, epoch: int) -> np.ndarray:
     features = store.get(record)
-    if cfg.max_frames > 0:
-        features = features[: cfg.max_frames]
     rng = _sample_rng(cfg.seed, epoch, record.id)
     if augment.enable_speed:
         factor = float(rng.choice(list(augment.speed_factors) + [1.0]))
@@ -125,36 +123,33 @@ def compute_batch_loss(model, features_batch, lengths, cat_targets, dim_targets,
                        loss_cfg: LossConfig):
     """Forward a padded [B, T, D] batch with valid lengths [B]; returns (total, ce, cccl).
 
-    Rows run in their `length_groups`, each cropped to its longest row, and rejoin in input
-    order before CE and CCC, which couple rows. Rows are independent of batch-mates and
-    padding, so the loss is a whole-batch forward's up to rounding; a one-group batch runs
-    whole.
+    Rows run in their `length_groups`, each cropped to its longest row, and the outputs join
+    in group order, shortest row first; the targets are put in that order before CE and CCC,
+    which couple rows. Rows are independent of batch-mates and padding, so the loss is a
+    whole-batch forward's in input order up to rounding.
     """
-    smoothed = smooth_labels(cat_targets, loss_cfg.epsilon_smooth)
     lengths = np.asarray(lengths)
     groups = length_groups(lengths)
-    if len(groups) == 1:
-        out = model.forward(features_batch, lengths)
-        probs, dims = out.cat_probs, out.dim_tensor
-    else:
-        outs = [model.forward(features_batch[rows, :lengths[rows[-1]]], lengths[rows])
-                for rows in groups]
-        rank = sorted(range(len(lengths)), key=sum(groups, []).__getitem__)  # row -> joined
-        probs = concat([out.cat_probs for out in outs])[rank]
-        dims = concat([out.dim_tensor for out in outs])[rank]
-    ce = weighted_cross_entropy(probs, smoothed, loss_cfg.class_weights)
-    cccl = ccc_loss_multi(dim_targets, dims, eps=loss_cfg.eps_ccc)
+    outs = [model.forward(features_batch[rows, :lengths[rows[-1]]], lengths[rows])
+            for rows in groups]
+    order = sum(groups, [])
+    smoothed = smooth_labels(cat_targets[order], loss_cfg.epsilon_smooth)
+    dim_targets = DimTargets(values=dim_targets.values[order],
+                             present_mask=dim_targets.present_mask[order])
+    ce = weighted_cross_entropy(concat([out.cat_probs for out in outs]), smoothed,
+                                loss_cfg.class_weights)
+    cccl = ccc_loss_multi(dim_targets, concat([out.dim_tensor for out in outs]),
+                          eps=loss_cfg.eps_ccc)
     return total_loss(ce, cccl, loss_cfg), ce, cccl
 
 
 def dev_categorical_loss(model, records: list, loss_cfg: LossConfig,
-                         store: FeatureStore, max_frames: int = 0) -> float:
+                         store: FeatureStore) -> float:
     """Weighted smoothed CE over the dev set, augmentation-free."""
     targets = np.zeros((len(records), NUM_CLASSES))
     targets[np.arange(len(records)), [r.label_index for r in records]] = 1.0
     smoothed = smooth_labels(targets, loss_cfg.epsilon_smooth)
-    features = [store.get(r)[:max_frames] if max_frames > 0 else store.get(r) for r in records]
-    probs, _ = predict([model], features)
+    probs, _ = predict([model], [store.get(r) for r in records])
     return float(weighted_cross_entropy(Tensor(probs), smoothed, loss_cfg.class_weights).item())
 
 
@@ -190,7 +185,7 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                               min_lr_factor=train_cfg.min_lr_factor)
     optimizer = AdamWGroups(model.backbone_parameters(), model.downstream_parameters(), opt_cfg)
     noise_source = make_noise_source(augment_cfg) if augment_cfg.enable_noise else None
-    store = FeatureStore(model.cfg.feature_dim)
+    store = FeatureStore(model.cfg.feature_dim, train_cfg.max_frames)
     state = TrainState(seed=train_cfg.seed)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -232,8 +227,7 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
                     f"{loss.item():.17g},{ce.item():.17g},{cccl.item():.17g}\n"
                 )
 
-            dev_loss = dev_categorical_loss(model, dev_records, loss_cfg, store,
-                                            max_frames=train_cfg.max_frames)
+            dev_loss = dev_categorical_loss(model, dev_records, loss_cfg, store)
             path = os.path.join(checkpoint_dir, f"epoch_{epoch:03d}.serc")
             save_checkpoint(path, model.state_arrays(),
                             CheckpointMeta(epoch=epoch, global_step=state.global_step,

@@ -217,6 +217,16 @@ class TestParsing:
         path.write_text("train.epochs = 2\n\ntrain.batch_size 4\n")
         with pytest.raises(ConfigError, match=re.escape(f"{path}:3: expected key = value")):
             RunConfig.load(str(path))
+        path.write_text("train.epochs = 2\ntrain.batch_size = four\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:2: key train.batch_size: expected integer, got 'four'")):
+            RunConfig.load(str(path))
+        path.write_text("model.pool_scales = 1,x\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:1: key model.pool_scales: expected comma-separated int values")):
+            RunConfig.load(str(path))
+        with pytest.raises(ConfigError, match=r"^key train.epochs: expected integer"):
+            RunConfig.load(None, overrides=["train.epochs=three"])
         with pytest.raises(ConfigError, match=r"^override 'train.epochs' must be key=value$"):
             RunConfig.load(None, overrides=["train.epochs"])
         with pytest.raises(ConfigError, match=r"^unknown config key 'train.turbo'$"):

@@ -193,6 +193,21 @@ class TestTrainLoop:
         epoch_log = open(tmp_path / "run_log" / "epoch_log.csv").read().splitlines()
         assert epoch_log[0] == "epoch,dev_cat_loss,best_dev_cat_loss,checkpoint"
 
+    def test_max_frames_bounds_every_forward(self, tmp_path, monkeypatch):
+        """`train.max_frames` crops each utterance as it is read, for the train steps and the
+        dev pass alike (speed perturbation, off here, may lengthen a cropped utterance)."""
+        train, dev = make_data(tmp_path)
+        assert {len(datapipe.load_record_features(r)) for r in train + dev} == {8}
+        frames = []
+        forward = SERModel.forward
+        monkeypatch.setattr(SERModel, "forward",
+                            lambda self, x, n: frames.append(np.shape(x)[1]) or forward(self, x, n))
+        train_cfg = RunConfig.load(None, overrides=["train.max_frames=5", "train.epochs=1",
+                                                    "train.batch_size=8"]).train_config(seed=0)
+        train_loop(tiny_model(), train, dev, str(tmp_path / "run"), LossConfig(),
+                   OptimizerConfig(), train_cfg, NO_AUGMENT)
+        assert frames == [5, 5, 5]          # two train steps, then the dev pass
+
     def test_frozen_params_bitwise_after_training(self, tmp_path):
         train, dev = make_data(tmp_path)
         model = tiny_model(seed=11)
@@ -403,3 +418,25 @@ def test_predict_and_the_train_step_share_one_grouping_rule(monkeypatch):
     dims = DimTargets(values=rng.uniform(0, 1, size=(5, 3)), present_mask=np.ones(5, bool))
     compute_batch_loss(model, *stack_padded(features), np.eye(7)[:5], dims, LossConfig())
     assert predict_calls == calls == [(3, 20), (1, 30), (1, 40)]
+
+
+def test_every_forward_gets_its_rows_sorted_by_length(monkeypatch):
+    """Attention tiles runs of equal length, so `length_groups` hands each forward of a train
+    step or of predict its rows shortest first; the loss does not depend on the rows' order."""
+    model = SERModel(RunConfig().model_config(0))
+    features, lengths, cats, dims = default_batch(np.random.default_rng(0))
+    assert np.any(np.diff(lengths) < 0)
+    seen = []
+    forward = SERModel.forward
+    monkeypatch.setattr(SERModel, "forward",
+                        lambda self, x, n: seen.append(np.asarray(n)) or forward(self, x, n))
+    loss, _, _ = compute_batch_loss(model, features, lengths, cats, dims, LossConfig())
+    predict([model], [f[:n] for f, n in zip(features, lengths)])
+    assert len(seen) == 2
+    for n in seen:
+        assert np.all(np.diff(n) >= 0), n.tolist()
+    perm = np.random.default_rng(1).permutation(len(lengths))
+    shuffled, _, _ = compute_batch_loss(
+        model, features[perm], lengths[perm], cats[perm],
+        DimTargets(values=dims.values[perm], present_mask=dims.present_mask[perm]), LossConfig())
+    assert abs(shuffled.item() - loss.item()) <= 1e-15 * abs(loss.item())
