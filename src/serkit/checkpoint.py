@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datapipe import open_binary
+from .datapipe import open_binary, write_file
 from .errors import DataError
 
 log = logging.getLogger("serkit.checkpoint")
@@ -39,20 +38,15 @@ class CheckpointMeta:
 
 
 def save_checkpoint(path: str, tensors: dict, meta: CheckpointMeta) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-        handle.write(struct.pack("<IQd", meta.epoch, meta.global_step, meta.dev_cat_loss))
-        handle.write(meta.config_hash)
-        for name in sorted(tensors):
-            array = np.ascontiguousarray(tensors[name], dtype="<f8")
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<I", array.ndim))
-            handle.write(struct.pack(f"<{array.ndim}Q", *array.shape))
-            handle.write(array.tobytes(order="C"))
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+             struct.pack("<IQd", meta.epoch, meta.global_step, meta.dev_cat_loss),
+             meta.config_hash]
+    for name in sorted(tensors):
+        array = np.ascontiguousarray(tensors[name], dtype="<f8")  # joined without a copy
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", array.ndim),
+                  struct.pack(f"<{array.ndim}Q", *array.shape), array]
+    write_file(path, b"".join(parts))
 
 
 def load_checkpoint(path: str) -> tuple:

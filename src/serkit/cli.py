@@ -22,13 +22,14 @@ from .datapipe import (
     pseudo_label_files,
     read_manifest,
     synth_dataset,
+    write_file,
     write_manifest,
 )
 from .errors import ConfigError, DataError, NumericError, SerkitError
 from .evaluation import evaluate_manifest, two_pass_relabel
 from .losses import DimTargets
 from .model import SERModel
-from .reporting import read_report_csv, svg_bar_chart, write_report_csv, write_svg
+from .reporting import read_report_csv, svg_bar_chart, write_report_csv
 from .training import compute_batch_loss, train_loop
 
 log = logging.getLogger("serkit.cli")
@@ -50,45 +51,25 @@ def _setup_logging():
 # -- train -----------------------------------------------------------------------
 
 
-class RunLock:
-    """Sentinel file guarding a run directory against concurrent writers."""
-
-    def __init__(self, out_dir: str):
-        self.path = os.path.join(out_dir, ".lock")
-
-    def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(f"run directory is locked (stale {self.path}?)") from None
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc):
-        if os.path.exists(self.path):
-            os.remove(self.path)
-        return False
-
-
 def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config, args.set)
     train_records = read_manifest(args.train)
     dev_records = read_manifest(args.dev)
+    model = SERModel(cfg.model_config(args.seed))
+    settings = dict(loss_cfg=cfg.loss_config(), opt_cfg=cfg.optimizer_config(),
+                    train_cfg=cfg.train_config(args.seed), augment_cfg=cfg.augment_config())
     os.makedirs(args.out, exist_ok=True)
-    with RunLock(args.out):
-        cfg.write_echo(os.path.join(args.out, "effective_config.cfg"))
-        model = SERModel(cfg.model_config(args.seed))
-        state = train_loop(
-            model, train_records, dev_records, args.out,
-            loss_cfg=cfg.loss_config(),
-            opt_cfg=cfg.optimizer_config(),
-            train_cfg=cfg.train_config(args.seed),
-            augment_cfg=cfg.augment_config(),
-            config_hash=cfg.config_hash(),
-        )
-        with open(os.path.join(args.out, "train_state.json"), "w", encoding="utf-8") as handle:
-            json.dump(state.summary(relative_to=args.out), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    try:  # the claim: of two runs into one --out, only one creates its checkpoints/
+        os.mkdir(os.path.join(args.out, "checkpoints"))
+    except FileExistsError:
+        raise ConfigError(f"run directory {args.out} already holds a run "
+                          f"(it has checkpoints/); train into a new --out") from None
+    write_file(os.path.join(args.out, "effective_config.cfg"), cfg.echo())
+    state = train_loop(model, train_records, dev_records, args.out,
+                       config_hash=cfg.config_hash(), **settings)
+    summary = state.summary(relative_to=args.out)
+    write_file(os.path.join(args.out, "train_state.json"),
+               json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"trained {state.epoch} epochs, best dev categorical loss {state.best_dev_cat_loss:.6f}")
     return 0
 
@@ -114,9 +95,7 @@ def _load_ensemble(args) -> tuple:
 def _write_labels(out: str, records: list, stats: dict) -> None:
     """A labeled manifest at `out` and its stats at `out`.stats.json."""
     write_manifest(out, records)
-    with open(out + ".stats.json", "w", encoding="utf-8") as handle:
-        json.dump(stats, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_file(out + ".stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_eval(args) -> int:
@@ -126,7 +105,7 @@ def cmd_eval(args) -> int:
     write_report_csv(args.report, report)
     if args.svg:
         name = os.path.splitext(os.path.basename(args.report))[0]
-        write_svg(args.svg, svg_bar_chart([(name, dict(report.rows()))]))
+        write_file(args.svg, svg_bar_chart([(name, dict(report.rows()))]))
     headline = report.uar_4 if args.classes == 4 else report.uar_7
     print(f"scored {report.n_scored} segments: uar_{args.classes}={headline:.4f}")
     return 0
@@ -231,7 +210,7 @@ def cmd_report(args) -> int:
     for path in args.inputs:
         name = os.path.splitext(os.path.basename(path))[0]
         groups.append((name, read_report_csv(path)))
-    write_svg(args.svg, svg_bar_chart(groups))
+    write_file(args.svg, svg_bar_chart(groups))
     print(f"wrote {args.svg} with {len(groups)} group(s)")
     return 0
 

@@ -149,10 +149,6 @@ class RunConfig:
     def config_hash(self) -> bytes:
         return hashlib.sha256(self.echo().encode("utf-8")).digest()
 
-    def write_echo(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.echo())
-
     # -- dataclass builders --
 
     def _build(self, cls, **extra):

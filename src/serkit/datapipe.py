@@ -135,6 +135,14 @@ def open_binary(path: str, error=DataError):
         raise error(f"cannot read {path}: {exc.strerror}") from None
 
 
+def write_file(path: str, data) -> None:
+    """Write `data`, bytes or text (as UTF-8), to `path`, making its parent directory first.
+    Every whole-file artifact of a run goes through here."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(data.encode("utf-8") if isinstance(data, str) else data)
+
+
 def text_lines(path: str, error=DataError):
     """(line number, text) for each line of a UTF-8 file.
 
@@ -201,13 +209,13 @@ def write_manifest(path: str, records) -> None:
     manifest names the same feature files wherever it is written.
     """
     out_dir = os.path.dirname(os.path.abspath(path))
-    os.makedirs(out_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in sorted(records, key=lambda r: r.id):
-            if record.base_dir is not None and not os.path.isabs(record.features_path):
-                record = replace(record, features_path=os.path.relpath(
-                    record.resolved_features_path(), out_dir))
-            handle.write(record.to_json() + "\n")
+    lines = []
+    for record in sorted(records, key=lambda r: r.id):
+        if record.base_dir is not None and not os.path.isabs(record.features_path):
+            record = replace(record, features_path=os.path.relpath(
+                record.resolved_features_path(), out_dir))
+        lines.append(record.to_json() + "\n")
+    write_file(path, "".join(lines))
 
 
 # -- feature files -----------------------------------------------------------
@@ -217,11 +225,8 @@ def write_features(path: str, features: np.ndarray) -> None:
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2:
         raise DataError(f"feature matrix must be [T, D], got shape {features.shape}")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as handle:
-        handle.write(FEATURE_MAGIC)
-        handle.write(struct.pack("<III", FEATURE_VERSION, features.shape[0], features.shape[1]))
-        handle.write(features.astype("<f4").tobytes(order="C"))
+    header = FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, *features.shape)
+    write_file(path, header + features.astype("<f4").tobytes(order="C"))
 
 
 def read_features(path: str) -> np.ndarray:
@@ -272,18 +277,21 @@ def check_feature_width(record: ManifestRecord, features: np.ndarray,
 
 class FeatureStore:
     """Tiny read-through cache for repeated epoch passes over one manifest, whose files
-    must all hold `feature_dim` values per frame; `max_frames` > 0 keeps only that many."""
+    must all hold `feature_dim` values per frame; `max_frames` > 0 keeps only that many,
+    and a cropped entry is a copy, so the whole file is not kept behind it."""
 
     def __init__(self, feature_dim: int, max_frames: int = 0):
         self._feature_dim = feature_dim
-        self._max_frames = max_frames or None
+        self._max_frames = max_frames
         self._cache: dict = {}
 
     def get(self, record: ManifestRecord) -> np.ndarray:
         cached = self._cache.get(record.id)
         if cached is None:
             cached = check_feature_width(record, load_record_features(record), self._feature_dim)
-            cached = self._cache[record.id] = cached[:self._max_frames]
+            if 0 < self._max_frames < cached.shape[0]:
+                cached = cached[:self._max_frames].copy()
+            self._cache[record.id] = cached
         return cached
 
 
@@ -344,14 +352,14 @@ def window_split(duration_s: float, cfg: ConsensusConfig) -> list:
     if duration_s <= 0:
         raise DataError(f"window split needs positive duration, got {duration_s}")
     windows = []
-    start = 0.0
-    while start + cfg.window_s <= duration_s + 1e-9:
-        windows.append((start, start + cfg.window_s))
-        start += cfg.hop_s
+    k = 0  # the k-th start is k * hop, so no rounding error accumulates along the windows
+    while k * cfg.hop_s + cfg.window_s <= duration_s + 1e-9:
+        windows.append((k * cfg.hop_s, k * cfg.hop_s + cfg.window_s))
+        k += 1
     if not windows:
         return [(0.0, duration_s)]
     if windows[-1][1] < duration_s - 1e-9:
-        windows.append((start, duration_s))
+        windows.append((k * cfg.hop_s, duration_s))
     return windows
 
 
@@ -384,11 +392,17 @@ def utterance_pseudo_label(window_labels: list, cfg: ConsensusConfig) -> Emotion
     return EmotionLabel.NEUTRAL
 
 
+def _window_key(start: float, end: float) -> tuple:
+    """A window's bounds rounded to the microsecond: a predictor's 0.6 and a split's
+    0.2 + 0.4 = 0.6000000000000001 name one window."""
+    return round(start, 6), round(end, 6)
+
+
 def _window_prediction(obj: dict) -> tuple:
     """One line of a per-predictor JSONL: utterance_id, window_start_s, window_end_s, label."""
     if not isinstance(obj["utterance_id"], str):
         raise DataError(f"utterance_id must be a string, got {obj['utterance_id']!r}")
-    window = (float(obj["window_start_s"]), float(obj["window_end_s"]))
+    window = _window_key(float(obj["window_start_s"]), float(obj["window_end_s"]))
     return obj["utterance_id"], window, parse_predictor_label(obj["label"])
 
 
@@ -455,7 +469,7 @@ def pseudo_label_files(pred_a_path: str, pred_b_path: str, durations_path: str,
                             f"{len(preds_a[utt])} predicted windows cover")
         labels = []
         for start, end in window_split(duration, cfg):
-            key = (start, end)
+            key = _window_key(start, end)
             if key not in preds_a[utt] or key not in preds_b[utt]:
                 raise DataError(
                     f"utterance {utt}: window ({start}, {end}) missing from predictions"

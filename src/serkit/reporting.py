@@ -8,9 +8,8 @@ bytes for fixed inputs.
 from __future__ import annotations
 
 import math
-import os
 
-from .datapipe import text_lines
+from .datapipe import text_lines, write_file
 from .errors import DataError
 from .evaluation import EvalReport
 
@@ -24,12 +23,8 @@ def format_value(value) -> str:
 
 
 def write_report_csv(path: str, report: EvalReport) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("metric,value\n")
-        for metric, value in report.rows():
-            handle.write(f"{metric},{format_value(value)}\n")
+    rows = "".join(f"{metric},{format_value(value)}\n" for metric, value in report.rows())
+    write_file(path, "metric,value\n" + rows)
 
 
 def read_report_csv(path: str) -> dict:
@@ -109,10 +104,3 @@ def svg_bar_chart(groups: list, metrics: tuple = ("uar_7", "uar_4"),
         parts.append(f'<text x="{lx + 16}" y="{height - 14}" font-size="11">{metric}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(path: str, svg: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(svg)

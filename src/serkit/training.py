@@ -48,7 +48,10 @@ class TrainConfig:
     batch_size: int = 32
     patience: int = 3
     seed: int = 0
-    max_frames: int = 0          # >0 crops features to this many frames
+    # >0 keeps each file's first max_frames frames as FeatureStore reads it, for the dev
+    # pass too; speed perturbation runs after, so a train row can be longer (round(100 / 0.9)
+    # = 111 frames for 100), and a MixUp row is the longer of its two
+    max_frames: int = 0
     warmup_ratio: float = ScheduleConfig.warmup_ratio
     min_lr_factor: float = ScheduleConfig.min_lr_factor
 
@@ -188,7 +191,6 @@ def train_loop(model, train_records: list, dev_records: list, out_dir: str,
     store = FeatureStore(model.cfg.feature_dim, train_cfg.max_frames)
     state = TrainState(seed=train_cfg.seed)
 
-    os.makedirs(out_dir, exist_ok=True)
     checkpoint_dir = os.path.join(out_dir, "checkpoints")
     os.makedirs(checkpoint_dir, exist_ok=True)
     train_log = open(os.path.join(out_dir, "train_log.csv"), "w", encoding="utf-8")

@@ -108,12 +108,33 @@ class TestTrainCommand:
 
     def test_locked_run_directory_exit_1(self, tmp_path, datasets, tiny_config, capsys):
         out = str(tmp_path / "locked")
-        os.makedirs(out)
-        open(os.path.join(out, ".lock"), "w").close()
+        os.makedirs(os.path.join(out, "checkpoints"))
         rc = main(["train", "--config", tiny_config, "--train", datasets["train"],
                    "--dev", datasets["dev"], "--out", out, "--seed", "0"])
         assert rc == 1
-        assert "locked" in capsys.readouterr().err
+        assert f"run directory {out} " in capsys.readouterr().err
+        assert os.listdir(out) == ["checkpoints"]
+
+    def test_second_run_into_one_out_exit_1_and_first_run_kept(self, tmp_path, datasets,
+                                                              tiny_config, capsys):
+        out = run_train(tmp_path, datasets, tiny_config, "run", seed=3)
+        first = dir_contents(out)
+        capsys.readouterr()
+        rc = main(["train", "--config", tiny_config, "--train", datasets["train"],
+                   "--dev", datasets["dev"], "--out", out, "--seed", "4",
+                   "--set", "train.epochs=1"])
+        assert rc == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1, err_lines
+        assert err_lines[0].startswith(f"error: config: run directory {out} ")
+        assert dir_contents(out) == first
+
+    def test_bad_config_value_claims_no_directory(self, tmp_path, datasets, tiny_config):
+        out = str(tmp_path / "typo")
+        rc = main(["train", "--config", tiny_config, "--train", datasets["train"],
+                   "--dev", datasets["dev"], "--out", out, "--set", "train.epochs=0"])
+        assert rc == 1
+        assert not os.path.exists(out)
 
     def test_rerun_from_echoed_config_reproduces(self, tmp_path, datasets, tiny_config):
         out_a = run_train(tmp_path, datasets, tiny_config, "echo_a", seed=4)
@@ -353,6 +374,20 @@ class TestPseudolabelCommand:
                    "--out", str(tmp_path / "p.jsonl")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: data: ")
+
+    def test_decimal_hop_matches_predictions_on_the_decimal_grid(self, tmp_path):
+        # 0.2 + 0.4 is 0.6000000000000001 in binary; the predictor writes 0.6
+        starts = [round(0.1 * k, 1) for k in range(7)]
+        rows = [("u1", s, round(s + 0.4, 1), "angry") for s in starts]
+        write_predictions(tmp_path / "a.jsonl", rows)
+        write_durations(tmp_path / "d.jsonl", [("u1", 1.0)])
+        out = str(tmp_path / "pseudo.jsonl")
+        assert main(["pseudolabel", "--pred-a", str(tmp_path / "a.jsonl"),
+                     "--pred-b", str(tmp_path / "a.jsonl"),
+                     "--durations", str(tmp_path / "d.jsonl"), "--out", out,
+                     "--window-s", "0.4", "--hop-s", "0.1"]) == 0
+        assert [r.label for r in read_manifest(out)] == ["Angry"]
+        assert json.load(open(out + ".stats.json"))["n_windows"] == 7
 
     def test_duration_disagreeing_with_frames_exit_2(self, tmp_path, capsys):
         rows = [("u1", s, e, "angry") for s, e in self._windows(10.0)]

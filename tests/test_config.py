@@ -8,7 +8,7 @@ import pytest
 
 from serkit.augment import AugmentConfig
 from serkit.config import DEFAULTS, KEYS, RunConfig
-from serkit.datapipe import MERGE_CAP_S
+from serkit.datapipe import MERGE_CAP_S, write_file
 from serkit.errors import ConfigError
 from serkit.losses import LossConfig
 from serkit.model import ModelConfig
@@ -241,7 +241,7 @@ class TestEchoAndHash:
     def test_echo_round_trips(self, tmp_path):
         cfg = RunConfig.load(None, overrides=["train.epochs=7", "loss.lambda_dim=0.75"])
         path = tmp_path / "echo.cfg"
-        cfg.write_echo(str(path))
+        write_file(str(path), cfg.echo())
         reloaded = RunConfig.load(str(path))
         assert reloaded.values == cfg.values
 

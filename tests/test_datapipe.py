@@ -10,6 +10,7 @@ import pytest
 from serkit.datapipe import (
     _read_window_predictions,
     ConsensusConfig,
+    FeatureStore,
     ManifestRecord,
     consensus_label,
     load_record_features,
@@ -222,6 +223,15 @@ class TestFeatureFiles:
                                 base_dir=str(tmp_path))
         with pytest.raises(DataError, match="frames"):
             load_record_features(record)
+
+    def test_cropped_store_entry_owns_just_its_rows(self, tmp_path):
+        features = np.random.default_rng(5).normal(size=(1000, 16)).astype(np.float32)
+        write_features(str(tmp_path / "long.serf"), features)
+        record = ManifestRecord(id="u1", features_path="long.serf", frames=1000,
+                                frame_rate_hz=8.0, label="Happy", base_dir=str(tmp_path))
+        cropped = FeatureStore(16, max_frames=10).get(record)
+        np.testing.assert_array_equal(cropped, features[:10])
+        assert cropped.base is None and cropped.nbytes == 10 * 16 * 8
 
 
 class TestManifests:
